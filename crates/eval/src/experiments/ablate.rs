@@ -17,11 +17,10 @@
 //! Plus the KD stopping rule (`Khy` vs `Khy[stop=0]`), which quantifies
 //! why \[3\]'s data-dependent trees matter at small ε.
 
-use dpgrid_core::guidelines;
+use dpgrid_core::{guidelines, Method};
 use dpgrid_geo::generators::PaperDataset;
 
 use super::{DataBundle, ExpContext};
-use crate::method::Method;
 use crate::report::profile_table;
 use crate::Result;
 

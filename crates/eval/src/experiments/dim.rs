@@ -7,14 +7,13 @@ use rand::{Rng as _, SeedableRng};
 use dpgrid_baselines::inference::CiTree;
 use dpgrid_baselines::oned::{project_x, Histogram1D};
 use dpgrid_core::analysis::border_fraction;
-use dpgrid_core::Synopsis;
+use dpgrid_core::{Method, Synopsis};
 use dpgrid_geo::generators::PaperDataset;
 use dpgrid_geo::ndim::{gaussian_mixture, NdBox, NdGrid};
 use dpgrid_geo::Rect;
 use dpgrid_mech::{uniform_allocation, LaplaceMechanism};
 
 use super::{DataBundle, ExpContext};
-use crate::method::Method;
 use crate::report::{fmt, Table};
 use crate::Result;
 

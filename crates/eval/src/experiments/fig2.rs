@@ -7,11 +7,10 @@
 //! comparable on checkin/landmark; relative error peaks at mid-size
 //! queries.
 
-use dpgrid_core::guidelines;
+use dpgrid_core::{guidelines, Method};
 use dpgrid_geo::generators::PaperDataset;
 
 use super::{size_ladder, DataBundle, ExpContext};
-use crate::method::Method;
 use crate::report::{by_size_table, profile_table};
 use crate::Result;
 

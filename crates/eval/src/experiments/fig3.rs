@@ -6,11 +6,10 @@
 //! H₄,₂ H₅,₂ H₆,₂ over a 360 grid. Shape criterion: hierarchies give at
 //! most small improvements over U₃₆₀; Privelet a modest one.
 
-use dpgrid_core::guidelines;
+use dpgrid_core::{guidelines, Method};
 use dpgrid_geo::generators::PaperDataset;
 
 use super::{DataBundle, ExpContext};
-use crate::method::Method;
 use crate::report::profile_table;
 use crate::Result;
 

@@ -12,11 +12,10 @@
 //! flat for `α ∈ [0.25, 0.5]` and degrades at 0.75; `c₂ = 5` beats 10
 //! and 15; the `m₁` curve is shallow around the suggested value.
 
-use dpgrid_core::guidelines;
+use dpgrid_core::{guidelines, Method};
 use dpgrid_geo::generators::PaperDataset;
 
 use super::{size_ladder, DataBundle, ExpContext};
-use crate::method::Method;
 use crate::report::{by_size_table, profile_table};
 use crate::Result;
 

@@ -10,11 +10,10 @@
 //! "Experimentally best" sizes are found with a pilot sweep (fewer
 //! trials), mirroring how the paper selected them from Figure 2/4.
 
-use dpgrid_core::guidelines;
+use dpgrid_core::{guidelines, Method};
 use dpgrid_geo::generators::PaperDataset;
 
 use super::{best_by_mean, size_ladder, DataBundle, ExpContext};
-use crate::method::Method;
 use crate::report::{abs_profile_table, by_size_table, profile_table};
 use crate::runner::MethodEval;
 use crate::Result;

@@ -31,10 +31,10 @@ use std::path::{Path, PathBuf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use dpgrid_core::Method;
 use dpgrid_geo::generators::PaperDataset;
 use dpgrid_geo::{GeoDataset, PointIndex};
 
-use crate::method::Method;
 use crate::runner::{evaluate, EvalConfig, MethodEval};
 use crate::truth::TruthTable;
 use crate::workload::{QueryWorkload, WorkloadSpec};

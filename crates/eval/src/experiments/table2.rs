@@ -6,11 +6,10 @@
 //! (DESIGN.md) is that the suggestion lands inside or adjacent to the
 //! empirically best range.
 
-use dpgrid_core::guidelines;
+use dpgrid_core::{guidelines, Method};
 use dpgrid_geo::generators::PaperDataset;
 
 use super::{best_by_mean, size_ladder, DataBundle, ExpContext};
-use crate::method::Method;
 use crate::report::{fmt, Table};
 use crate::Result;
 

@@ -10,11 +10,11 @@
 //!   error, and candlestick summaries (25th/50th/75th/95th percentile
 //!   plus arithmetic mean);
 //! * [`truth`] — exact query answers via [`dpgrid_geo::PointIndex`];
-//! * [`method`] — the canonical [`Method`] registry (re-exported from
-//!   `dpgrid_core::method`) over UG, AG, Privelet, KD-standard,
-//!   KD-hybrid, hierarchies and the flat baseline, so experiments are
-//!   declarative lists of method configurations built through the same
-//!   `Method::build_boxed` path the publishing pipeline uses;
+//! * [`Method`] — the core crate's method registry, re-exported: UG,
+//!   AG, Privelet, KD-standard, KD-hybrid, hierarchies and the flat
+//!   baseline, so experiments are declarative lists of method
+//!   configurations built through the same `Method::build_boxed` path
+//!   the publishing pipeline uses;
 //! * [`runner`] — multi-threaded (method × trial) evaluation;
 //! * [`experiments`] — one module per paper artifact (`table2`, `fig1`
 //!   … `fig6`, `dim`), each writing CSV series and a markdown summary
@@ -24,14 +24,13 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod method;
 pub mod metrics;
 pub mod report;
 pub mod runner;
 pub mod truth;
 pub mod workload;
 
-pub use method::Method;
+pub use dpgrid_core::Method;
 pub use metrics::{relative_error, Candlestick};
 pub use runner::{evaluate, EvalConfig, MethodEval};
 pub use workload::{QueryWorkload, WorkloadSpec};

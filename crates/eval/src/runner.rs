@@ -4,9 +4,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use dpgrid_core::Method;
 use dpgrid_geo::GeoDataset;
 
-use crate::method::Method;
 use crate::metrics::{absolute_error, relative_error, Candlestick};
 use crate::truth::TruthTable;
 use crate::workload::QueryWorkload;

@@ -13,14 +13,11 @@
 //!
 //! Every fresh connection starts in JSON v1 and immediately offers
 //! the binary codec with a `Hello` frame (unless capped to v1 via
-//! [`TcpClient::connect_with_protocol`]). A v2-capable server acks and
-//! the connection switches to binary framing; an old server rejects
-//! the unknown request kind as `MalformedRequest`, which per the
-//! versioning policy means "v1 only" — the client falls back
-//! silently. The negotiated version is per *connection*, not per
-//! client: reconnection always re-handshakes, so a client that
-//! negotiated v2 against one server instance cannot desync framing
-//! against a restarted v1-only instance.
+//! [`TcpClient::connect_with_protocol`]). The server acks and the
+//! connection switches to binary framing; any reply other than a
+//! `Hello` ack fails the connect. The negotiated version is per
+//! *connection*, not per client: reconnection always re-handshakes,
+//! because a restarted server begins every connection in JSON again.
 //!
 //! # Reconnection
 //!
@@ -46,8 +43,8 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use dpgrid_geo::Rect;
 use dpgrid_serve::wire::{
-    binary, ErrorCode, HelloOffer, RequestBody, ResponseBody, WireError, WireQuery, WireRect,
-    WireReportBatch, WireRequest, WireResponse, WireWindow,
+    binary, HelloOffer, RequestBody, ResponseBody, WireError, WireQuery, WireRect, WireReportBatch,
+    WireRequest, WireResponse, WireWindow,
 };
 use dpgrid_serve::{
     EngineStats, QueryRequest, QueryResponse, ReportAck, ReportBatch, WindowAnswer,
@@ -119,10 +116,6 @@ impl Conn {
     }
 
     /// Offers the binary codec and adopts whatever the server acks.
-    /// A pre-`Hello` server rejects the unknown request kind as
-    /// `MalformedRequest` — per the versioning policy that means
-    /// "v1 only", so it is a successful (if modest) negotiation, not
-    /// an error.
     fn negotiate(&mut self, max_protocol: u32) -> Result<()> {
         let offer = WireRequest::new(
             HELLO_ID,
@@ -143,7 +136,6 @@ impl Conn {
                 self.protocol = ack.version;
                 Ok(())
             }
-            ResponseBody::Error(e) if e.code == ErrorCode::MalformedRequest => Ok(()),
             ResponseBody::Error(e) => Err(NetError::Server(e)),
             other => Err(unexpected("Hello", &other)),
         }
@@ -305,7 +297,7 @@ impl Conn {
             let response = self.read_binary_response()?;
             match response.body {
                 // A rejected batch (sealed epoch, ε mismatch, a
-                // pre-`Report` server's `MalformedRequest`) fails only
+                // read-only server's `MalformedRequest`) fails only
                 // its slot; the drain continues in lockstep.
                 ResponseBody::Error(e) if response.id == expect => results.push(Err(e)),
                 ResponseBody::Error(e) => {
@@ -344,20 +336,16 @@ pub struct TcpClient {
 }
 
 impl TcpClient {
-    /// Connects to `addr`, offering the binary codec (the server may
-    /// negotiate down to JSON v1). When `addr` resolves to several
-    /// addresses the first that connects wins, and that concrete
-    /// address is what reconnection later dials.
+    /// Connects to `addr`, offering the binary codec. When `addr`
+    /// resolves to several addresses the first that connects wins, and
+    /// that concrete address is what reconnection later dials.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
         Self::connect_with_protocol(addr, binary::PROTOCOL_VERSION)
     }
 
     /// Connects offering at most `max_protocol` —
     /// `connect_with_protocol(addr, 1)` pins a pure JSON v1 client
-    /// (no `Hello` is sent at all, exactly like a pre-negotiation
-    /// client), which is also what to use against servers that
-    /// predate the `Keys` request (their `MalformedRequest` reply to
-    /// `Hello` is indistinguishable from "v1 only").
+    /// (no `Hello` is sent at all).
     pub fn connect_with_protocol(addr: impl ToSocketAddrs, max_protocol: u32) -> Result<Self> {
         let io_timeout = Some(DEFAULT_IO_TIMEOUT);
         let mut last_err: Option<NetError> = None;
@@ -433,9 +421,7 @@ impl TcpClient {
         }
     }
 
-    /// Fetches the server's advertised release keys (sorted). A
-    /// pre-`Keys` server answers with a `MalformedRequest` wire error —
-    /// treat it as "feature unsupported", per the versioning policy.
+    /// Fetches the server's advertised release keys (sorted).
     pub fn keys(&mut self) -> Result<Vec<String>> {
         match self.call(RequestBody::Keys)? {
             ResponseBody::Keys(keys) => Ok(keys),
@@ -464,8 +450,7 @@ impl TcpClient {
     /// reports exactly which epoch ranges were summed (compacted
     /// tiers widen coverage visibly). A window touching no retained
     /// epoch fails with an `UnknownKey` wire error naming the missing
-    /// range; a pre-`Window` server answers `MalformedRequest` —
-    /// treat it as "feature unsupported", per the versioning policy.
+    /// range.
     pub fn window(
         &mut self,
         keyspace: &str,
@@ -490,7 +475,7 @@ impl TcpClient {
     /// Submits one batch of locally-perturbed reports to the server's
     /// collector and blocks for the ack. Typed collector rejections
     /// (sealed epoch, ε mismatch, overflow) come back as
-    /// [`NetError::Server`]; a pre-`Report` server answers
+    /// [`NetError::Server`]; a read-only server answers
     /// `MalformedRequest` — treat it as "feature unsupported", per the
     /// versioning policy.
     ///
@@ -512,11 +497,11 @@ impl TcpClient {
     /// frame per batch over the binary codec: all frames ship in a
     /// single write, then the acks are drained in order, so the
     /// socket stays busy instead of ping-ponging per batch — this is
-    /// the ingestion fast path. On a connection that negotiated down
-    /// to JSON v1 it degrades to sequential per-batch round trips
-    /// (same semantics, more round trips). Per-batch rejections are
-    /// isolated in the inner results; the outer `Result` is the
-    /// transport.
+    /// the ingestion fast path. On a JSON v1 connection (a client
+    /// pinned with [`TcpClient::connect_with_protocol`]) it degrades
+    /// to sequential per-batch round trips (same semantics, more round
+    /// trips). Per-batch rejections are isolated in the inner results;
+    /// the outer `Result` is the transport.
     ///
     /// Like [`TcpClient::submit_report`] this is never resent on a
     /// stale connection — see there for why. On a transport error the
@@ -601,7 +586,7 @@ impl TcpClient {
     /// isolated per request exactly as in [`TcpClient::query_batch`].
     ///
     /// Pipelining needs the binary codec's id-correlated frames; on a
-    /// connection that negotiated down to JSON v1 this degrades to
+    /// JSON v1 connection (a client pinned to v1) this degrades to
     /// one `Batch` frame (same semantics, still one round trip). The
     /// stale-connection retry covers the whole pipeline: ids are
     /// re-issued on the fresh connection, and reads are idempotent.

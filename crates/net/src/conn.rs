@@ -3,16 +3,14 @@
 //!
 //! One [`MuxConn`] owns everything a connection is: its socket, the
 //! codec it has negotiated (every connection starts in JSON v1 and
-//! may upgrade to binary v2 via `Hello`, exactly like the threaded
-//! server), a reassembly buffer for partially-read frames, and a
+//! may upgrade to binary v2 via `Hello`), a reassembly buffer for partially-read frames, and a
 //! bounded outbound queue of encoded responses. It never blocks: the
 //! run loop calls [`MuxConn::on_ready`] with the socket's readiness
 //! and gets back what the connection wants to wait for next.
 //!
-//! # Wire-behavior parity
+//! # Wire behavior
 //!
-//! This state machine reproduces the threaded server's connection
-//! semantics bit for bit — the acceptance suites pin them:
+//! The connection semantics, pinned by the acceptance suites:
 //!
 //! * JSON frames that are not UTF-8, or do not parse, are answered
 //!   with a typed `MalformedRequest` and the connection survives;
@@ -316,8 +314,7 @@ impl MuxConn {
                         self.scan_from = self.in_buf.len();
                         if self.in_buf.len() >= MAX_FRAME_BYTES {
                             // A newline-free stream must not grow this
-                            // buffer unboundedly — same cap, same
-                            // message, same close as the threaded path.
+                            // buffer unboundedly.
                             self.reject_and_close(
                                 wire::WireResponse::error(
                                     0,
@@ -426,8 +423,7 @@ impl MuxConn {
     }
 
     /// The peer will send nothing more: answer any frame cut short by
-    /// the close (parity with the threaded server), then close after
-    /// the flush.
+    /// the close, then close after the flush.
     fn finish_eof<S: QueryService + ?Sized>(
         &mut self,
         service: &S,

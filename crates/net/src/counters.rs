@@ -1,8 +1,7 @@
-//! Server-side transport counters, shared by both server modes.
+//! Server-side transport counters.
 //!
-//! Counting lives here so the threaded and multiplexed servers report
-//! through one vocabulary: a [`TransportCounters`] cell the transport
-//! increments, snapshotted into the wire-visible
+//! One vocabulary for everything the server counts: a
+//! [`TransportCounters`] cell the transport increments, snapshotted into the wire-visible
 //! [`dpgrid_serve::TransportStats`], and an [`Instrumented`] service
 //! wrapper that splices the snapshot into every `Stats` response —
 //! additively, so a tier that aggregates engines *and* fronts them

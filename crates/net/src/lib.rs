@@ -2,21 +2,19 @@
 //!
 //! This crate is the network layer over
 //! [`dpgrid_serve::QueryService`]: a std-only TCP server
-//! ([`TcpServer`] — readiness-multiplexed by default, with a
-//! thread-per-connection mode, graceful shutdown either way), a
+//! ([`TcpServer`] — readiness-multiplexed, with graceful shutdown), a
 //! blocking client ([`TcpClient`], with one-shot reconnection and
 //! request pipelining), a reconnecting connection pool
 //! ([`TcpClientPool`]), the remote leg of the sharded serving tier
 //! ([`RemoteShard`]) and the write-path fan-out for LDP report
 //! ingestion ([`ReportRouter`]) — all speaking the versioned wire
-//! protocol
-//! defined in [`dpgrid_serve::wire`], negotiating its binary v2 codec
-//! per connection and falling back to JSON v1 against old peers. It
-//! deliberately uses no async runtime and no external networking
-//! dependencies — everything is `std::net` + `std::thread` plus a thin
-//! readiness shim over the platform's `epoll`/`poll(2)`, consistent
-//! with the workspace's vendored-stubs constraint, and the protocol
-//! layer is shared so an async transport can later reuse it unchanged.
+//! protocol defined in [`dpgrid_serve::wire`] and negotiating its
+//! binary v2 codec per connection. It deliberately uses no async
+//! runtime and no external networking dependencies — everything is
+//! `std::net` + `std::thread` plus a thin readiness shim over the
+//! platform's `epoll`/`poll(2)`, consistent with the workspace's
+//! vendored-stubs constraint, and the protocol layer is shared so an
+//! async transport can later reuse it unchanged.
 //!
 //! # Transport architecture
 //!
@@ -37,11 +35,10 @@
 //!   connection is ever touched by two threads, so connection state
 //!   needs no locks. The run loop knows nothing about frame formats.
 //! * **Dispatch** (the private `conn` module): one nonblocking state
-//!   machine per
-//!   connection — handshake (JSON until a `Hello` negotiates v2),
-//!   partial-frame reassembly for both codecs, protocol dispatch
-//!   through the same `dpgrid_serve::wire` entry points the threaded
-//!   transport uses, and a write queue drained with vectored writes.
+//!   machine per connection — handshake (JSON until a `Hello`
+//!   negotiates v2), partial-frame reassembly for both codecs,
+//!   protocol dispatch through the `dpgrid_serve::wire` entry points,
+//!   and a write queue drained with vectored writes.
 //!
 //! A future async-runtime backend is a third implementation of the
 //! middle seam: it would replace the worker pool and poller with an
@@ -50,9 +47,9 @@
 //!
 //! **Backpressure** is two-layered. The engine's admission control is
 //! global: an overloaded engine sheds work with typed `Overloaded`
-//! frames regardless of transport. The multiplexed transport adds a
-//! per-connection layer: each connection's outbound queue has a 1 MiB
-//! soft high-water mark, and a connection whose client stops reading
+//! frames regardless of transport. The server adds a per-connection
+//! layer: each connection's outbound queue has a 1 MiB soft
+//! high-water mark, and a connection whose client stops reading
 //! its responses is *paused* — its buffered input stops being
 //! dispatched and its read interest is dropped, so the kernel receive
 //! window fills and the sender stalls at its own socket. Writing
@@ -61,15 +58,6 @@
 //! server memory, and never blocks a worker thread (stalls are visible
 //! as `read_stalls`/`write_stalls` in [`dpgrid_serve::TransportStats`],
 //! which every `Stats` response carries).
-//!
-//! **Choosing a mode** ([`ServerMode`]): the multiplexed default holds
-//! thousands of mostly-idle connections at ~zero per-tick cost and
-//! degrades gracefully under slow readers; prefer it everywhere real.
-//! The threaded mode spends an OS thread (stack, scheduler slot,
-//! 100 ms shutdown-poll tick) per connection but has the simplest
-//! imaginable control flow; it remains as the reference implementation
-//! the multiplexed transport is differentially tested against, and as
-//! the baseline in `benches/net_throughput`.
 //!
 //! # Deployment topologies
 //!
@@ -201,9 +189,7 @@
 //! / binary `0x06`, additive within each codec version) asks the
 //! server to resolve and sum the surfaces covering an epoch range in
 //! one round trip: [`TcpClient::window`] on the client side,
-//! `dpgrid_serve::answer_window` behind any server. A pre-`Window`
-//! server rejects the kind as `MalformedRequest` — the standard
-//! "feature unsupported" signal.
+//! `dpgrid_serve::answer_window` behind any server.
 //!
 //! # The write path: LDP report ingestion
 //!
@@ -218,8 +204,8 @@
 //! path. Because the request mutates collector state, neither is ever
 //! resent on a stale connection (unlike every read-path call): the
 //! error surfaces and the caller decides whether re-submitting could
-//! double-count. A read-only server — or one predating the kind —
-//! answers `MalformedRequest`, the usual "feature unsupported" signal.
+//! double-count. A read-only server answers `MalformedRequest`, the
+//! usual "feature unsupported" signal.
 //!
 //! Releases sealed from LDP reports carry
 //! `dpgrid_core::TrustModel::Local` in their metadata: the server
@@ -244,36 +230,32 @@
 //!
 //! # Versioning and negotiation
 //!
-//! Every connection starts in JSON v1 — the codec any peer of any age
-//! can parse. A client that supports v2 sends one JSON
-//! `Hello {max_version}` frame (id 0) as its first message:
+//! Every connection starts in JSON v1. A client that wants v2 sends
+//! one JSON `Hello {max_version}` frame (id 0) as its first message;
+//! the server replies `Hello {version: min(client_max, server_max)}`
+//! and, when that lands on 2, the **same connection** switches to
+//! binary frames — both directions, no reconnect. Every peer is built
+//! from this workspace and understands `Hello`, so any other reply
+//! fails the connect.
 //!
-//! * a v2-capable server replies `Hello {version: min(client_max,
-//!   server_max)}` and, when that lands on 2, the **same connection**
-//!   switches to binary frames — both directions, no reconnect;
-//! * an old server has no `Hello` variant, so the offer decodes as a
-//!   `MalformedRequest` error — the exact additive-request-kind
-//!   signal defined below — and the client silently stays on v1.
-//!
-//! The reverse direction needs no handshake at all: a v1-only client
-//! simply never offers, and the server keeps speaking JSON. Negotiated
+//! A client pinned to v1 (`connect_with_protocol(addr, 1)`) never
+//! offers, and the server keeps speaking JSON. Negotiated
 //! state lives and dies with the connection — a reconnecting client
 //! ([`TcpClient`]'s one-shot redial, every pool checkout) re-offers
-//! from scratch, so a server downgrade or replacement mid-session
-//! renegotiates instead of writing binary frames at a peer that only
-//! reads lines.
+//! from scratch, because a restarted server begins every connection
+//! in JSON again.
 //!
 //! Within one codec, `protocol_version` (JSON:
 //! [`dpgrid_serve::wire::PROTOCOL_VERSION`] = 1, binary:
 //! [`dpgrid_serve::wire::binary::PROTOCOL_VERSION`] = 2) bumps on any
 //! incompatible change; both peers reject other versions with
-//! `UnsupportedVersion` rather than guessing. Additive request kinds
-//! within a version decode as `MalformedRequest` on older servers,
-//! which clients must treat as "feature unsupported" (`Hello` itself
-//! rides on that rule). The [`dpgrid_serve::wire::ErrorCode`] table is
-//! shared by both codecs: JSON spells the *names*, binary carries one
-//! stable byte per code ([`dpgrid_serve::wire::binary::code_byte`]) —
-//! both append-only, never changing meaning.
+//! `UnsupportedVersion` rather than guessing. A request kind a server
+//! does not serve (`Report` on a read-only server) is answered
+//! `MalformedRequest`, which clients treat as "feature unsupported".
+//! The [`dpgrid_serve::wire::ErrorCode`] table is shared by both
+//! codecs: JSON spells the *names*, binary carries one stable byte per
+//! code ([`dpgrid_serve::wire::binary::code_byte`]) — both
+//! append-only, never changing meaning.
 //!
 //! # Example
 //!
@@ -320,7 +302,6 @@ pub mod mux;
 pub mod poll;
 mod pool;
 mod remote;
-mod server;
 
 pub use client::{TcpClient, CONNECT_TIMEOUT, DEFAULT_IO_TIMEOUT};
 pub use error::{NetError, Result};
@@ -328,7 +309,9 @@ pub use ingest::ReportRouter;
 pub use mux::MuxServer;
 pub use pool::{TcpClientPool, DEFAULT_MAX_IDLE};
 pub use remote::RemoteShard;
-pub use server::{ServerMode, TcpServer};
+
+/// The TCP query server: the readiness-multiplexed [`MuxServer`].
+pub use mux::MuxServer as TcpServer;
 
 #[cfg(test)]
 mod tests {
@@ -418,6 +401,36 @@ mod tests {
         match client.ping() {
             Err(NetError::Server(e)) => assert_eq!(e.code, ErrorCode::MalformedRequest),
             other => panic!("expected typed server error, got {other:?}"),
+        }
+        fake.join().unwrap();
+    }
+
+    #[test]
+    fn a_rejected_hello_fails_the_connect() {
+        // Every peer understands `Hello`, so a `MalformedRequest` reply
+        // is an error, not a silent fall back to JSON v1.
+        use dpgrid_serve::wire::{ErrorCode, WireError, WireResponse};
+        use std::io::{BufRead, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut offer = String::new();
+            std::io::BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut offer)
+                .unwrap();
+            assert!(offer.contains("Hello"));
+            let frame = WireResponse::error(
+                0,
+                WireError::new(ErrorCode::MalformedRequest, "unknown variant `Hello`"),
+            )
+            .encode();
+            (&stream).write_all(frame.as_bytes()).unwrap();
+            (&stream).write_all(b"\n").unwrap();
+        });
+        match TcpClient::connect(addr) {
+            Err(NetError::Server(e)) => assert_eq!(e.code, ErrorCode::MalformedRequest),
+            other => panic!("expected a typed connect error, got {other:?}"),
         }
         fake.join().unwrap();
     }

@@ -57,8 +57,13 @@ struct WorkerShared {
     wake_tx: UnixStream,
 }
 
-/// A running multiplexed TCP query server. Use through
-/// [`crate::TcpServer`] unless you need to pin the worker count.
+/// A running multiplexed TCP query server, also exported as
+/// [`crate::TcpServer`].
+///
+/// Dropping the handle shuts the server down gracefully: the listener
+/// stops accepting, in-flight frames finish answering, connections
+/// close, and every worker thread is joined. Use
+/// [`MuxServer::shutdown`] to do the same explicitly.
 #[derive(Debug)]
 pub struct MuxServer {
     addr: SocketAddr,

@@ -37,8 +37,7 @@ impl TcpClientPool {
     /// Creates a pool dialing `addr`, verifying reachability with one
     /// pinged connection (parked for reuse). When `addr` resolves to
     /// several addresses the first that connects wins. Every pooled
-    /// connection offers the binary codec on dial (negotiating down
-    /// to JSON v1 against old servers); cap it with
+    /// connection offers the binary codec on dial; cap it with
     /// [`TcpClientPool::with_max_protocol`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
         let mut client = TcpClient::connect(addr)?;

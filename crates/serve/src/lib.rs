@@ -110,8 +110,7 @@ pub mod window;
 pub mod wire;
 
 pub use catalog::{
-    CacheState, Catalog, CatalogStats, ColdLease, Lease, SurfaceHandle,
-    DEFAULT_MEMORY_BUDGET_BYTES, DEFAULT_SURFACE_CAPACITY,
+    CacheState, Catalog, CatalogStats, ColdLease, Lease, SurfaceHandle, DEFAULT_MEMORY_BUDGET_BYTES,
 };
 pub use engine::{
     EngineStats, KernelBackend, QueryEngine, QueryRequest, QueryResponse, TransportStats,

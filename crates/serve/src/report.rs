@@ -9,9 +9,8 @@
 //! a seam deliberately separate from [`crate::QueryService`]'s read
 //! methods, reached via [`crate::QueryService::reports`]: a service
 //! without a collector simply returns `None` and the dispatch layer
-//! answers `MalformedRequest`, exactly the "feature unsupported"
-//! signal a pre-`Report` server would send, so clients cannot tell an
-//! old server from a read-only one (and fall back identically).
+//! answers `MalformedRequest`, the protocol's "feature unsupported"
+//! signal.
 //!
 //! The serve crate defines only the shapes; the aggregation itself —
 //! flat-vector accumulators, debiasing, epoch sealing into releases —

@@ -48,12 +48,10 @@
 //!   [`RequestBody::Hello`] JSON frame, the server answers
 //!   [`ResponseBody::Hello`] with the version both sides will speak
 //!   (see [`negotiate`]), and when that is 2 the *same connection*
-//!   switches to binary framing for every subsequent frame. `Hello` is
-//!   additive within v1: a pre-`Hello` server answers it with
-//!   `MalformedRequest`, which clients treat as "v1 only" and fall
-//!   back — old clients and old servers interoperate with new ones in
-//!   both directions. Negotiation frames themselves always travel as
-//!   JSON v1.
+//!   switches to binary framing for every subsequent frame. Every
+//!   server built from this workspace answers `Hello`; a client pinned
+//!   to v1 simply never sends it. Negotiation frames themselves always
+//!   travel as JSON v1.
 //!
 //! Dispatch is codec-generic: both codecs decode into the same
 //! [`RequestBody`], go through the same [`dispatch`] (one validation
@@ -573,10 +571,9 @@ pub enum RequestBody {
     /// [`ResponseBody::Pong`].
     Ping,
     /// Offer to upgrade this connection's codec, answered with
-    /// [`ResponseBody::Hello`]. Added within protocol version 1: a
-    /// pre-`Hello` server answers it with `MalformedRequest`, which
-    /// clients treat as "v1 only". Transports that support binary
-    /// framing intercept this frame themselves (the negotiated codec
+    /// [`ResponseBody::Hello`]; clients treat any other reply as a
+    /// failed connect. Transports that support binary framing
+    /// intercept this frame themselves (the negotiated codec
     /// is connection state, which [`dispatch`] does not hold); at the
     /// dispatch layer it always acks version 1.
     Hello(HelloOffer),

@@ -1,25 +1,21 @@
 //! Hostile-I/O and concurrency regression for the readiness-
 //! multiplexed server.
 //!
-//! The polite-client behaviors are pinned by `net_serving.rs`, which
-//! runs unmodified against the multiplexed default. This suite attacks
-//! the transport itself: slowloris clients that dribble one byte at a
+//! The polite-client behaviors are pinned by `net_serving.rs`. This
+//! suite attacks the transport itself: slowloris clients that dribble one byte at a
 //! time, frames pipelined and interleaved across many concurrent
 //! connections (answers must match the in-process engine to ≤ 1e-9
 //! under both codecs), shutdown under live load, the wire-visible
 //! transport counters, and the remote shard's single-frame window
-//! path with its keys-based fallback against a pre-`Window` peer.
+//! path.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dpgrid::net::ServerMode;
 use dpgrid::prelude::*;
-use dpgrid::serve::wire::{
-    self, binary, ErrorCode, RequestBody, WireError, WireRequest, WireResponse,
-};
+use dpgrid::serve::wire::{self, binary, RequestBody, WireRequest, WireResponse};
 
 fn engine(keys: &[(&str, u64)]) -> QueryEngine {
     let dataset = PaperDataset::Storage.generate_n(63, 2_000).unwrap();
@@ -282,68 +278,23 @@ fn transport_counters_travel_in_wire_stats() {
 }
 
 #[test]
-fn both_server_modes_agree_and_count() {
+fn server_answers_like_the_engine_and_counts_every_frame() {
     let engine = Arc::new(engine(&[("a", 1)]));
     let q = workload(5);
-    let mut answers = Vec::new();
-    for mode in [ServerMode::Multiplexed, ServerMode::Threaded] {
-        let server = TcpServer::bind_with_mode(Arc::clone(&engine), "127.0.0.1:0", mode).unwrap();
-        assert_eq!(server.mode(), mode);
-        let mut client = TcpClient::connect(server.local_addr()).unwrap();
-        answers.push(client.query("a", &q).unwrap().answers);
-        let transport = client.stats().unwrap().transport.unwrap();
-        assert!(transport.frames_decoded >= 1);
-        assert_eq!(server.frames_served(), 3); // hello + query + stats
-        server.shutdown();
-    }
-    assert_eq!(answers[0], answers[1]);
-}
-
-/// A fake pre-`Window` (and pre-`Hello`) JSON-only server: one
-/// accepted connection, answering `Hello` and `Window` with the
-/// `MalformedRequest` an old binary would produce, everything else
-/// through the real dispatch.
-fn spawn_pre_window_server(
-    engine: Arc<QueryEngine>,
-) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            let trimmed = line.trim_end();
-            let response = match WireRequest::decode(trimmed) {
-                Ok(request) => match request.body {
-                    RequestBody::Hello(_) => WireResponse::error(
-                        request.id,
-                        WireError::new(ErrorCode::MalformedRequest, "unknown variant `Hello`"),
-                    ),
-                    RequestBody::Window(_) => WireResponse::error(
-                        request.id,
-                        WireError::new(ErrorCode::MalformedRequest, "unknown variant `Window`"),
-                    ),
-                    body => wire::dispatch(engine.as_ref(), request.id, body),
-                },
-                Err(e) => WireResponse::error(e.id, e.error),
-            };
-            writer.write_all(response.encode().as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-            writer.flush().unwrap();
-        }
-    });
-    (addr, handle)
+    let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+    let answers = client.query("a", &q).unwrap().answers;
+    let local = engine.answer(&QueryRequest::new("a", q)).unwrap().answers;
+    assert_eq!(answers, local);
+    let transport = client.stats().unwrap().transport.unwrap();
+    assert!(transport.frames_decoded >= 1);
+    assert_eq!(server.frames_served(), 3); // hello + query + stats
+    assert_eq!(server.transport_stats().accepted, 1);
+    server.shutdown();
 }
 
 #[test]
-fn remote_window_is_native_with_keys_fallback_for_old_peers() {
+fn remote_window_is_one_native_frame() {
     let keys: Vec<String> = (0..4)
         .map(|e| epoch_key("taxi", EpochRange::single(e)))
         .collect();
@@ -361,9 +312,9 @@ fn remote_window_is_native_with_keys_fallback_for_old_peers() {
     };
     let expected = answer_window(&*engine, &query).unwrap();
 
-    // Modern peer: the shard's `window` override sends one native
-    // `Window` frame, and the server-side resolution matches the
-    // in-process one exactly.
+    // The shard's `window` override sends one native `Window` frame,
+    // and the server-side resolution matches the in-process one
+    // exactly.
     let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
     let baseline = server.frames_served();
     let shard = RemoteShard::connect(server.local_addr()).unwrap();
@@ -380,26 +331,16 @@ fn remote_window_is_native_with_keys_fallback_for_old_peers() {
         "window fanned out: {} frames",
         server.frames_served() - baseline
     );
-    server.shutdown();
 
-    // Pre-`Window` peer: the override's offer is rejected as
-    // `MalformedRequest` and the shard falls back to keys-based
-    // resolution — same answer, just more round trips.
-    let (addr, _old_server) = spawn_pre_window_server(Arc::clone(&engine));
-    let shard = RemoteShard::connect(addr).unwrap();
-    let fallback = shard.window(&query).unwrap();
-    assert_eq!(fallback.covered, expected.covered);
-    for (a, e) in fallback.answers.iter().zip(&expected.answers) {
-        assert!((a - e).abs() <= 1e-9 * (1.0 + e.abs()));
-    }
-    // An uncovered range still degrades typed through the fallback.
+    // An uncovered range comes back typed, as from a local shard.
     let missing = WindowQuery {
         keyspace: "taxi".into(),
-        range: dpgrid::core::EpochRange::new(90, 95).unwrap(),
+        range: EpochRange::new(90, 95).unwrap(),
         rects: q,
     };
     assert!(matches!(
         shard.window(&missing),
         Err(ServeError::UnknownRelease(_))
     ));
+    server.shutdown();
 }

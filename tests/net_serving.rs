@@ -10,15 +10,15 @@
 //! protocol-version guard.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpgrid::net::{NetError, TcpClient, TcpServer};
 use dpgrid::prelude::*;
 use dpgrid::serve::wire::{
-    self, binary, ErrorCode, HelloAck, HelloOffer, RequestBody, ResponseBody, WireError,
-    WireRequest, WireResponse,
+    binary, ErrorCode, HelloAck, HelloOffer, RequestBody, ResponseBody, WireError, WireRequest,
+    WireResponse,
 };
 
 const CLIENT_THREADS: usize = 4;
@@ -461,43 +461,8 @@ fn raw_socket_binary_garbage_probes_get_typed_rejects_and_clean_close() {
     server.shutdown();
 }
 
-/// A minimal JSON-v1-only server on one accepted connection. Like any
-/// server that predates the handshake, its decoder has no `Hello`
-/// variant — the offer comes back as a `MalformedRequest` error, which
-/// is exactly the signal a v2 client falls back on.
-fn spawn_v1_only_server(
-    listener: TcpListener,
-    engine: Arc<QueryEngine>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            let trimmed = line.trim_end();
-            let response = if trimmed.contains("Hello") {
-                WireResponse::error(
-                    0,
-                    WireError::new(ErrorCode::MalformedRequest, "unknown variant `Hello`"),
-                )
-            } else {
-                wire::handle_frame(engine.as_ref(), trimmed)
-            };
-            writer.write_all(response.encode().as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-            writer.flush().unwrap();
-        }
-    })
-}
-
 #[test]
-fn version_negotiation_works_both_directions() {
+fn pinned_v1_and_negotiated_v2_clients_get_identical_answers() {
     let dataset = PaperDataset::Storage.generate_n(46, 1_500).unwrap();
     let rects = workload(dataset.domain().rect());
     let mut catalog = Catalog::new();
@@ -509,8 +474,9 @@ fn version_negotiation_works_both_directions() {
         .unwrap();
     let engine = Arc::new(QueryEngine::new(catalog));
 
-    // A v2-capable server answers a pinned v1-only client (no Hello
-    // sent at all) and a default v2 client identically.
+    // One server answers a pinned v1-only client (no Hello sent at
+    // all) and a default v2 client identically, and the v1 client's
+    // pipelined path (one Batch frame) agrees too.
     let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
     let mut v2 = TcpClient::connect(server.local_addr()).unwrap();
     assert_eq!(v2.protocol_version(), Some(2));
@@ -519,25 +485,11 @@ fn version_negotiation_works_both_directions() {
     assert_eq!(v1.protocol_version(), Some(1));
     let answers = v1.query("storage", &rects).unwrap();
     assert_eq!(answers.answers, reference.answers);
-    server.shutdown();
-
-    // A v2-offering client against a v1-only server: the Hello comes
-    // back MalformedRequest, the client silently falls back to JSON v1,
-    // and both single queries and the pipelined path (one Batch frame
-    // under v1) still answer correctly.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let v1_server = spawn_v1_only_server(listener, Arc::clone(&engine));
-    let mut client = TcpClient::connect(addr).unwrap();
-    assert_eq!(client.protocol_version(), Some(1));
-    let fallback = client.query("storage", &rects).unwrap();
-    assert_eq!(fallback.answers, reference.answers);
     let batch = vec![QueryRequest::new("storage", rects.clone()); 3];
-    for outcome in client.query_pipelined(&batch).unwrap() {
+    for outcome in v1.query_pipelined(&batch).unwrap() {
         assert_eq!(outcome.unwrap().answers, reference.answers);
     }
-    drop(client);
-    v1_server.join().unwrap();
+    server.shutdown();
 }
 
 #[test]
@@ -561,16 +513,16 @@ fn reconnect_renegotiates_instead_of_reusing_stale_protocol_state() {
     let reference = client.query("storage", &rects).unwrap();
     server.shutdown();
 
-    // ...then restart the same port as a v1-only server. The stranded
-    // client's one-shot reconnect must re-handshake from scratch — a
-    // client that replayed its remembered v2 state would write binary
-    // frames at a peer that only reads JSON lines and hang or poison
-    // the connection. Instead the redial renegotiates down to v1 and
-    // the resent query succeeds.
-    let v1_server = spawn_v1_only_server(TcpListener::bind(addr).unwrap(), Arc::clone(&engine));
+    // ...then restart a server on the same port. Its fresh connection
+    // begins in JSON, so the stranded client's one-shot reconnect must
+    // re-handshake from scratch: a client that replayed its remembered
+    // v2 state would write binary frames at a connection still reading
+    // JSON lines and fail. Instead the redial sends a new Hello and the
+    // resent query succeeds.
+    let server = TcpServer::bind(Arc::clone(&engine), addr).unwrap();
     let healed = client.query("storage", &rects).unwrap();
-    assert_eq!(client.protocol_version(), Some(1));
+    assert_eq!(client.protocol_version(), Some(2));
     assert_eq!(healed.answers, reference.answers);
-    drop(client);
-    v1_server.join().unwrap();
+    assert_eq!(server.frames_served(), 2, "hello + the resent query");
+    server.shutdown();
 }
