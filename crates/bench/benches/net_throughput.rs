@@ -182,9 +182,7 @@ struct Row {
 }
 
 fn bench_net_throughput(c: &mut Criterion) {
-    let parallelism = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
+    let parallelism = dpgrid_geo::parallelism();
     let mut catalog = Catalog::new();
     let mut keys = Vec::new();
     for (key, release) in serve_releases() {

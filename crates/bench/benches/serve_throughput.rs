@@ -12,7 +12,11 @@
 //! * **1 vs N worker threads** — the pinned sequential baseline
 //!   against scoped-thread sharding (the recorded `parallelism` field
 //!   says how many hardware threads the measuring machine actually
-//!   had; worker scaling is necessarily flat on a 1-CPU box).
+//!   had; worker scaling is necessarily flat on a 1-CPU box);
+//! * **per-request overhead** — `warm_small_adaptive` answers 8-rect
+//!   requests one per `answer_batch` call, as a server does one per
+//!   frame, so fixed per-request cost shows instead of being amortised
+//!   over 2048 rects.
 //!
 //! Medians are recorded to `BENCH_serve_throughput.json` at the
 //! workspace root (same shape as `BENCH_release_query.json`) so the
@@ -34,6 +38,10 @@ const EPS: f64 = 1.0;
 const REQUESTS_PER_RELEASE: usize = 2;
 /// Rectangles per request.
 const RECTS_PER_REQUEST: usize = 2_048;
+/// Rectangles per request in the per-request overhead row.
+const SMALL_RECTS_PER_REQUEST: usize = 8;
+/// Small requests per release in one pass of that row.
+const SMALL_REQUESTS_PER_RELEASE: usize = 128;
 
 /// The three served releases — left uncompiled so cold runs can clone
 /// genuinely cold copies (clones share a compiled surface, so masters
@@ -52,13 +60,14 @@ fn master_releases() -> Vec<(String, Release)> {
 }
 
 /// A mixed batch over the landmark domain `[-130, -70] × [10, 50]`:
-/// mostly mid-size windows plus spanning and sliver queries.
-fn batch(keys: &[String]) -> Vec<QueryRequest> {
+/// mostly mid-size windows plus spanning and sliver queries;
+/// `per_release` requests of `rects_per_request` rects for every key.
+fn batch(keys: &[String], per_release: usize, rects_per_request: usize) -> Vec<QueryRequest> {
     let mut rng = bench_rng();
     let mut requests = Vec::new();
     for key in keys {
-        for _ in 0..REQUESTS_PER_RELEASE {
-            let rects: Vec<Rect> = (0..RECTS_PER_REQUEST)
+        for _ in 0..per_release {
+            let rects: Vec<Rect> = (0..rects_per_request)
                 .map(|i| match i % 16 {
                     0 => Rect::new(-130.0, 10.0, -70.0, 50.0).unwrap(),
                     1 => Rect::new(-100.1, 10.0, -99.9, 50.0).unwrap(),
@@ -96,15 +105,31 @@ fn pass_ns(engine: &QueryEngine, requests: &[QueryRequest]) -> f64 {
     t.elapsed().as_nanos() as f64
 }
 
-/// Median nanoseconds per warm pass, within a time budget.
-fn measure_warm_ns(engine: &QueryEngine, requests: &[QueryRequest]) -> f64 {
+/// One pass answering each request as its own single-request batch
+/// (one server frame each); returns the elapsed nanoseconds.
+fn per_request_pass_ns(engine: &QueryEngine, requests: &[QueryRequest]) -> f64 {
+    let t = Instant::now();
+    for request in requests {
+        for response in engine.answer_batch(std::slice::from_ref(request)) {
+            black_box(response.expect("all keys known"));
+        }
+    }
+    t.elapsed().as_nanos() as f64
+}
+
+/// Median nanoseconds per warm `pass`, within a time budget.
+fn measure_warm_ns(
+    engine: &QueryEngine,
+    requests: &[QueryRequest],
+    pass: fn(&QueryEngine, &[QueryRequest]) -> f64,
+) -> f64 {
     // Warmup compiles every surface (and pre-faults the answer paths).
-    pass_ns(engine, requests);
+    pass(engine, requests);
     let mut samples = Vec::new();
     let budget = std::time::Duration::from_millis(1_500);
     let start = Instant::now();
     while start.elapsed() < budget || samples.len() < 5 {
-        samples.push(pass_ns(engine, requests));
+        samples.push(pass(engine, requests));
         if samples.len() >= 60 {
             break;
         }
@@ -117,17 +142,16 @@ struct Row {
     label: String,
     workers: usize,
     cache: &'static str,
+    rects_per_request: usize,
     qps: f64,
     elapsed_ms: f64,
 }
 
 fn bench_serve_throughput(c: &mut Criterion) {
-    let parallelism = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
+    let parallelism = dpgrid_geo::parallelism();
     let masters = master_releases();
     let keys: Vec<String> = masters.iter().map(|(k, _)| k.clone()).collect();
-    let requests = batch(&keys);
+    let requests = batch(&keys, REQUESTS_PER_RELEASE, RECTS_PER_REQUEST);
     let total_rects: usize = requests.iter().map(|r| r.rects.len()).sum();
     let mut rows = Vec::new();
 
@@ -144,6 +168,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
             label: format!("cold_w{workers}"),
             workers,
             cache: "cold",
+            rects_per_request: RECTS_PER_REQUEST,
             qps: total_rects as f64 / (ns / 1e9),
             elapsed_ms: ns / 1e6,
         });
@@ -157,7 +182,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_throughput");
     for workers in worker_settings {
         let engine = cold_engine(&masters, workers);
-        let ns = measure_warm_ns(&engine, &requests);
+        let ns = measure_warm_ns(&engine, &requests, pass_ns);
         let label = if workers == 0 {
             "warm_adaptive".to_string()
         } else {
@@ -170,10 +195,28 @@ fn bench_serve_throughput(c: &mut Criterion) {
             label,
             workers,
             cache: "warm",
+            rects_per_request: RECTS_PER_REQUEST,
             qps: total_rects as f64 / (ns / 1e9),
             elapsed_ms: ns / 1e6,
         });
     }
+
+    // Per-request overhead: 8-rect requests, one per call, adaptive.
+    let small = batch(&keys, SMALL_REQUESTS_PER_RELEASE, SMALL_RECTS_PER_REQUEST);
+    let small_rects = small.len() * SMALL_RECTS_PER_REQUEST;
+    let engine = cold_engine(&masters, 0);
+    let ns = measure_warm_ns(&engine, &small, per_request_pass_ns);
+    group.bench_function("warm_small_adaptive", |b| {
+        b.iter(|| per_request_pass_ns(&engine, &small));
+    });
+    rows.push(Row {
+        label: "warm_small_adaptive".into(),
+        workers: 0,
+        cache: "warm",
+        rects_per_request: SMALL_RECTS_PER_REQUEST,
+        qps: small_rects as f64 / (ns / 1e9),
+        elapsed_ms: ns / 1e6,
+    });
     group.finish();
 
     let warm_w1 = rows
@@ -183,11 +226,11 @@ fn bench_serve_throughput(c: &mut Criterion) {
         .unwrap_or(f64::NAN);
     for r in &rows {
         println!(
-            "serve_throughput/{}: {} releases, {} rects/batch, workers {}, \
+            "serve_throughput/{}: {} releases, {} rects/request, workers {}, \
              {:.1} ms/batch, {:.0} q/s ({:.2}x vs warm_w1)",
             r.label,
             keys.len(),
-            total_rects,
+            r.rects_per_request,
             r.workers,
             r.elapsed_ms,
             r.qps,
@@ -212,10 +255,12 @@ fn write_json(rows: &[Row], releases: usize, rects: usize, parallelism: usize, w
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"workers\": {}, \"cache\": \"{}\", \
-             \"elapsed_ms\": {:.2}, \"qps\": {:.0}, \"speedup_vs_warm_w1\": {:.2}}}{}\n",
+             \"rects_per_request\": {}, \"elapsed_ms\": {:.2}, \"qps\": {:.0}, \
+             \"speedup_vs_warm_w1\": {:.2}}}{}\n",
             r.label,
             r.workers,
             r.cache,
+            r.rects_per_request,
             r.elapsed_ms,
             r.qps,
             r.qps / warm_w1,

@@ -139,9 +139,7 @@ struct Row {
 }
 
 fn bench_shard_throughput(c: &mut Criterion) {
-    let parallelism = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
+    let parallelism = dpgrid_geo::parallelism();
     let rects = request_rects();
     let keys: Vec<String> = (0..RELEASES).map(|i| format!("release-{i}")).collect();
     let requests = batch(&keys, &rects);

@@ -249,8 +249,9 @@ mod tests {
         let sequential: Vec<f64> = queries.iter().map(|q| surface.answer(q)).collect();
         assert_eq!(batched, sequential);
         // Force the scoped-thread fan-out regardless of how many CPUs
-        // this machine reports (answer_all only engages it when
-        // available_parallelism allows).
+        // this machine reports (answer_all only engages it when the
+        // batch holds at least two workers' worth of queries and
+        // dpgrid_geo::parallelism() reports more than one CPU).
         use dpgrid_geo::answer_all_with_workers;
         let threaded = answer_all_with_workers(&queries, |q| surface.answer(q), 4);
         assert_eq!(threaded, sequential);

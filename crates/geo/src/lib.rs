@@ -72,7 +72,8 @@ pub use point_index::PointIndex;
 pub use rect::Rect;
 pub use sat::SummedAreaTable;
 pub use synopsis::{
-    answer_all_batched, answer_all_with_workers, Build, Synopsis, MIN_QUERIES_PER_THREAD,
+    answer_all_batched, answer_all_with_workers, parallelism, Build, Synopsis,
+    MIN_QUERIES_PER_THREAD,
 };
 
 /// Convenience alias used throughout the crate.

@@ -16,8 +16,28 @@ use crate::{Domain, DpError, GeoDataset, Rect};
 /// Minimum batch size per worker thread before
 /// [`answer_all_batched`] (and therefore the default
 /// [`Synopsis::answer_all`]) fans out; below this the spawn overhead
-/// outweighs the per-query work.
+/// outweighs the per-query work. A batch of fewer than twice this many
+/// queries can never get two workers, so it runs inline: no CPU-count
+/// read, no spawn, and no slot in the concurrent fan-out count.
 pub const MIN_QUERIES_PER_THREAD: usize = 256;
+
+/// The number of CPUs this process may use (at least 1), read once per
+/// process.
+///
+/// `std::thread::available_parallelism` reads cgroup and mount files on
+/// every call (tens of microseconds on Linux), which is more than a
+/// small query batch costs to answer. Every runtime sizing decision in
+/// the workspace goes through this cached value instead; a CPU quota
+/// changed while the process runs is not picked up.
+pub fn parallelism() -> usize {
+    static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *PARALLELISM.get_or_init(|| {
+        #[allow(clippy::disallowed_methods)]
+        std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1)
+    })
+}
 
 /// A differentially private synopsis of a two-dimensional dataset.
 ///
@@ -161,18 +181,24 @@ impl<S: Synopsis + ?Sized> Synopsis for Box<S> {
 /// Callers like the evaluation runner already parallelise one level up
 /// (a thread per method); dividing the worker budget by the number of
 /// concurrently active fan-outs keeps the total CPU-bound thread count
-/// near `available_parallelism` instead of multiplying the two levels.
+/// near [`parallelism`] instead of multiplying the two levels. Batches
+/// too small to fan out never enter it.
 static ACTIVE_FANOUTS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Shared batched-answering driver: evaluates `answer` over `queries`,
 /// fanning out across `std::thread::scope` when the batch is large
 /// enough (mirroring `dpgrid-eval`'s runner, which parallelises at the
-/// method level the same way).
+/// method level the same way). Batches under twice
+/// [`MIN_QUERIES_PER_THREAD`] are answered inline on the calling thread.
 pub fn answer_all_batched<F>(queries: &[Rect], answer: F) -> Vec<f64>
 where
     F: Fn(&Rect) -> f64 + Sync,
 {
     use std::sync::atomic::Ordering;
+    let cap = queries.len() / MIN_QUERIES_PER_THREAD;
+    if cap <= 1 {
+        return queries.iter().map(answer).collect();
+    }
     // Drop guard so every exit path (including a panicking answer
     // closure) releases this call's slot in the counter.
     struct FanoutGuard;
@@ -186,11 +212,7 @@ where
     // which a load-then-add would miss.
     let concurrent = ACTIVE_FANOUTS.fetch_add(1, Ordering::Relaxed) + 1;
     let _guard = FanoutGuard;
-    let workers = (std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
-        / concurrent)
-        .min(queries.len() / MIN_QUERIES_PER_THREAD);
+    let workers = (parallelism() / concurrent).min(cap);
     answer_all_with_workers(queries, answer, workers)
 }
 

@@ -75,15 +75,13 @@ pub struct MuxServer {
 
 impl MuxServer {
     /// Binds `addr` and serves `service` over a default-sized worker
-    /// pool (available parallelism, capped at 8).
+    /// pool: the process's CPU count, read once per process
+    /// ([`dpgrid_geo::parallelism`]), capped at 8.
     pub fn bind<S>(service: Arc<S>, addr: impl ToSocketAddrs) -> Result<MuxServer>
     where
         S: QueryService + 'static,
     {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8);
+        let workers = dpgrid_geo::parallelism().min(8);
         MuxServer::bind_with_workers(service, addr, workers)
     }
 

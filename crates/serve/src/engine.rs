@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use dpgrid_core::{Release, ReleaseSink};
-use dpgrid_geo::{answer_all_with_workers, Rect};
+use dpgrid_geo::{answer_all_with_workers, parallelism, Rect};
 use serde::{Deserialize, Serialize};
 
 use crate::catalog::{CacheState, Catalog, CatalogStats, Lease, SurfaceHandle};
@@ -342,7 +342,8 @@ impl QueryEngine {
 
     /// Pins the total worker budget per batch. `1` answers strictly
     /// sequentially (the benchmarking baseline); `0` restores the
-    /// adaptive policy.
+    /// adaptive policy, which sizes batches against the CPU count read
+    /// once per process ([`dpgrid_geo::parallelism`]).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -629,12 +630,12 @@ impl QueryEngine {
         })
     }
 
-    /// Total worker budget for one batch.
+    /// Total worker budget for one batch: the pinned count, or the
+    /// machine's CPU count (read once per process, see
+    /// [`dpgrid_geo::parallelism`]) under the adaptive policy.
     fn budget(&self) -> usize {
         if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1)
+            parallelism()
         } else {
             self.workers
         }

@@ -400,40 +400,38 @@ impl QueryService for ShardRouter {
             let owner = rendezvous_route(&names, &request.release_key).expect("router has shards");
             buckets[owner].push(i);
         }
-        let mut out: Vec<Option<Result<QueryResponse>>> = requests.iter().map(|_| None).collect();
         let touched: Vec<(&Arc<ShardSlot>, &Vec<usize>)> = slots
             .iter()
             .zip(&buckets)
             .filter(|(_, bucket)| !bucket.is_empty())
             .collect();
         if touched.len() <= 1 {
-            // One shard (or an empty batch): answer inline, no threads.
-            for (slot, bucket) in touched {
-                let sub: Vec<QueryRequest> = bucket.iter().map(|&i| requests[i].clone()).collect();
-                for (&i, result) in bucket.iter().zip(Self::dispatch(slot, &sub)) {
+            // One shard owns the whole batch in request order (or the
+            // batch is empty): answer inline, no threads, no copies.
+            return match touched.first() {
+                Some((slot, _)) => Self::dispatch(slot, requests),
+                None => Vec::new(),
+            };
+        }
+        let mut out: Vec<Option<Result<QueryResponse>>> = requests.iter().map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = touched
+                .iter()
+                .map(|(slot, bucket)| {
+                    scope.spawn(move || {
+                        let sub: Vec<QueryRequest> =
+                            bucket.iter().map(|&i| requests[i].clone()).collect();
+                        Self::dispatch(slot, &sub)
+                    })
+                })
+                .collect();
+            for ((_, bucket), handle) in touched.iter().zip(handles) {
+                let results = handle.join().expect("shard dispatch panicked");
+                for (&i, result) in bucket.iter().zip(results) {
                     out[i] = Some(result);
                 }
             }
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = touched
-                    .iter()
-                    .map(|(slot, bucket)| {
-                        scope.spawn(move || {
-                            let sub: Vec<QueryRequest> =
-                                bucket.iter().map(|&i| requests[i].clone()).collect();
-                            Self::dispatch(slot, &sub)
-                        })
-                    })
-                    .collect();
-                for ((_, bucket), handle) in touched.iter().zip(handles) {
-                    let results = handle.join().expect("shard dispatch panicked");
-                    for (&i, result) in bucket.iter().zip(results) {
-                        out[i] = Some(result);
-                    }
-                }
-            });
-        }
+        });
         out.into_iter()
             .map(|slot| slot.expect("every request was bucketed exactly once"))
             .collect()
