@@ -1,17 +1,19 @@
 //! Linear-scan vs compiled-surface `Release` answering across release
 //! sizes — the acceptance benchmark of the compiled query surface.
 //!
-//! Builds UG releases at ~1k / 64k / 1M cells (lattice path) plus an
-//! AG release at its guideline size (band path), times a mixed query
-//! workload through `Release::answer` (compiled) and
-//! `Release::answer_linear_scan` (the O(cells) reference), and records
-//! the medians to `BENCH_release_query.json` at the workspace root so
-//! the perf trajectory is tracked in-repo.
+//! Builds UG releases at ~1k / 64k / 1M cells (lattice path), an AG
+//! release at its guideline size (block path) and a standard KD-tree
+//! release (band path, the control no lattice or block index applies
+//! to), times a mixed query workload through `Release::answer`
+//! (compiled) and `Release::answer_linear_scan` (the O(cells)
+//! reference), and records the medians to `BENCH_release_query.json` at
+//! the workspace root so the perf trajectory is tracked in-repo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
+use dpgrid_baselines::{KdConfig, KdStandard};
 use dpgrid_bench::{bench_dataset, bench_rng};
 use dpgrid_core::{AdaptiveGrid, AgConfig, Release, Synopsis, UgConfig, UniformGrid};
 use dpgrid_geo::Rect;
@@ -75,6 +77,11 @@ fn releases() -> Vec<(String, Release)> {
     out.push((
         "ag_guideline".to_string(),
         Release::from_synopsis("AG", &ag),
+    ));
+    let kd = KdStandard::build(&dataset, &KdConfig::new(EPS), &mut rng).unwrap();
+    out.push((
+        "kd_standard".to_string(),
+        Release::from_synopsis("Kst", &kd),
     ));
     out
 }

@@ -29,13 +29,13 @@
 //! format), but it never *answers* from that list: on the first call to
 //! [`Release::answer`] / [`Release::answer_all`] the cells are compiled
 //! — once, lazily — into a [`CompiledSurface`], and every query
-//! afterwards runs in O(log cells) against that surface (a dense
-//! lattice + summed-area table when the cells are grid-shaped, a sorted
-//! row-band index otherwise; see [`crate::surface`]). The compiled
-//! index is a cache, never serialised: a release loaded from JSON
-//! recompiles on first use. [`Release::answer_linear_scan`] keeps the
-//! naive O(cells) reference semantics available for verification and
-//! benchmarking.
+//! afterwards runs against that surface (a dense lattice + summed-area
+//! table when the cells are grid-shaped, a two-level block index when
+//! they are AG-shaped, a sorted row-band index otherwise; see
+//! [`crate::surface`]). The compiled index is a cache, never
+//! serialised: a release loaded from JSON recompiles on first use.
+//! [`Release::answer_linear_scan`] keeps the naive O(cells) reference
+//! semantics available for verification and benchmarking.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;

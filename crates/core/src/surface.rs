@@ -4,16 +4,24 @@
 //! that method-agnostic cell list into a [`CompiledSurface`] — the
 //! single structure all serving-side features (releases, caching,
 //! sharding, batch endpoints) are built against. Compilation picks the
-//! cheapest faithful index automatically:
+//! cheapest faithful index automatically, trying three paths in turn
+//! ([`SurfaceKind`] reports the one taken):
 //!
-//! * cells forming a rectilinear lattice (UG, hierarchy and wavelet
-//!   leaves, most AG outputs) become a dense grid + summed-area table,
-//!   answering in O(log cells) — two binary searches plus O(1) prefix
-//!   sums;
+//! * cells whose edges all lie on one affordable common lattice (UG,
+//!   hierarchy and wavelet leaves, AG with a fixed second level) become
+//!   a prefix-sum table over that lattice, answering in O(log cells) —
+//!   two binary searches per axis plus O(1) prefix-sum lookups;
+//! * two-level partitions — a coarse grid of lines no cell crosses,
+//!   each coarse block a lattice of its own — become a block index.
+//!   Every guideline AG release takes this path: its second-level size
+//!   varies per first-level cell, so the common lattice would be far
+//!   too large. As in the paper's own AG answer, fully covered blocks
+//!   come from one prefix-sum lookup over the block totals and only the
+//!   blocks on the query's rim are answered through their lattices;
 //! * irregular partitions (KD trees, adversarial releases) fall back to
 //!   a sorted row-band / interval index with per-band prefix sums.
 //!
-//! Either way the answers equal the naive linear scan
+//! Every path's answers equal the naive linear scan
 //! `Σ vᵢ · cellᵢ.overlap_fraction(q)` up to floating-point roundoff, so
 //! compiling is pure post-processing: no privacy accounting is
 //! involved.
@@ -53,6 +61,17 @@ pub enum SurfaceKind {
         /// Lattice columns.
         cols: usize,
         /// Lattice rows.
+        rows: usize,
+    },
+    /// Two-level block index: a `cols × rows` coarse grid of blocks,
+    /// each compiled as a lattice of its own. Adaptive-grid releases
+    /// take this path; `cols × rows` is then the first-level `m₁ × m₁`
+    /// (or finer, where every block of a coarse column or row happens
+    /// to share an inner line).
+    Blocks {
+        /// Coarse grid columns.
+        cols: usize,
+        /// Coarse grid rows.
         rows: usize,
     },
     /// Sorted row-band index with the given band count.
@@ -119,6 +138,10 @@ impl CompiledSurface {
             CellIndex::Lattice(l) => {
                 let (cols, rows) = l.shape();
                 SurfaceKind::Lattice { cols, rows }
+            }
+            CellIndex::Blocks(b) => {
+                let (cols, rows) = b.shape();
+                SurfaceKind::Blocks { cols, rows }
             }
             CellIndex::Bands(b) => SurfaceKind::Bands {
                 bands: b.band_count(),

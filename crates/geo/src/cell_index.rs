@@ -4,15 +4,24 @@
 //! naive way to answer a rectangle count query from it — test every cell
 //! for overlap — is O(cells) per query, which makes large releases
 //! unusable at serving scale. This module compiles a cell list **once**
-//! into an index that answers in (poly)logarithmic time:
+//! into an index that answers in (poly)logarithmic time. There are three
+//! paths, tried in this order:
 //!
-//! * [`LatticeIndex`] — the fast path. When every cell edge lies on a
-//!   common rectilinear lattice (uniform grids, hierarchy / wavelet
-//!   leaves, and most adaptive grids after refinement), the cells are
-//!   scattered onto a [`crate::DenseGrid`] over that lattice and summed
-//!   through a [`crate::SummedAreaTable`]; a query is two binary searches over the edge
-//!   arrays plus O(1) prefix-sum lookups.
-//! * [`BandIndex`] — the general path. Cells are bucketed into *bands*
+//! * [`LatticeIndex`] — every cell edge lies (bitwise) on one common
+//!   rectilinear lattice small enough to afford: uniform grids,
+//!   hierarchy and wavelet leaves, adaptive grids with a fixed second
+//!   level. The cells are scattered onto that lattice and summed into
+//!   prefix sums; a query is two binary searches per axis plus O(1)
+//!   prefix-sum lookups.
+//! * [`BlockIndex`] — the cells form a two-level partition: a coarse
+//!   grid of lines no cell crosses, and inside each coarse block a
+//!   lattice of its own. This is the shape of every adaptive-grid
+//!   release, whose second-level grid size varies per first-level cell
+//!   so that no affordable common lattice exists. A query sums the fully
+//!   covered blocks through one coarse prefix-sum lookup and answers
+//!   only the blocks on its rim through their own lattices.
+//! * [`BandIndex`] — the general path, for irregular partitions (KD
+//!   trees, hand-built releases). Cells are bucketed into *bands*
 //!   of identical y-extent, each band keeping its cells sorted by `x0`
 //!   with prefix sums; bands intersecting the query's y-range are found
 //!   through a segment tree over band start coordinates with max-end
@@ -25,22 +34,26 @@
 //!   dashboard-style queries touch O(log bands) nodes total instead of
 //!   O(bands).
 //!
-//! Both indexes reproduce the *uniformity assumption* semantics of
+//! All three reproduce the *uniformity assumption* semantics of
 //! [`Rect::overlap_fraction`] exactly (up to floating-point roundoff):
 //! a cell with value `v` contributes `v · |cell ∩ query| / |cell|`.
-//! [`CellIndex::build`] picks the lattice path whenever it applies and
-//! is affordable, and falls back to bands otherwise, so callers never
-//! need to know which partition shape they are holding.
+//! [`CellIndex::build`] picks the first path that applies and is
+//! affordable, so callers never need to know which partition shape they
+//! are holding.
 
-use crate::{Domain, Rect, MAX_GRID_CELLS};
+use crate::sat::{block_sum, prefix_sums_in_place};
+use crate::{Rect, MAX_GRID_CELLS};
 
-/// Maximum blow-up factor the lattice path may pay: scattering `n`
-/// cells onto a lattice of more than `LATTICE_BLOWUP_CAP · n` slots
-/// falls back to the band index instead (an adversarially irregular
-/// partition can induce an O(n²) lattice).
+/// Maximum blow-up factor a lattice may pay: scattering `n` cells onto
+/// a lattice of more than `LATTICE_BLOWUP_CAP · n` slots falls back to
+/// the next path instead (an adversarially irregular partition can
+/// induce an O(n²) lattice). The block path applies the same cap to
+/// every block and to its coarse grid.
 const LATTICE_BLOWUP_CAP: usize = 8;
 
-/// Relative tolerance for merging near-equal y-extents into one band.
+/// Relative tolerance for merging near-equal coordinates: y-extents
+/// into one band, and a coarse line with the drifted edge of the block
+/// before it.
 ///
 /// Adaptive-grid level-2 subdivision computes cell edges as
 /// `parent_y0 + i · (height / m₂)`, so two cells meant to share a row
@@ -65,6 +78,8 @@ const BAND_Y_SNAP_REL: f64 = 1e-12;
 pub enum CellIndex {
     /// All cells align to a common rectilinear lattice.
     Lattice(LatticeIndex),
+    /// Two-level partition: a coarse grid of per-block lattices.
+    Blocks(BlockIndex),
     /// Irregular partition: sorted row-band index.
     Bands(BandIndex),
 }
@@ -72,12 +87,17 @@ pub enum CellIndex {
 impl CellIndex {
     /// Compiles a cell list. Infallible: any list (including empty or
     /// degenerate cells, which can never contribute to an answer) gets
-    /// an index; the lattice path is chosen when it applies.
+    /// an index; the lattice path is tried first, then the block path,
+    /// then bands.
     pub fn build(cells: &[(Rect, f64)]) -> CellIndex {
-        match LatticeIndex::try_build(cells) {
-            Some(lattice) => CellIndex::Lattice(lattice),
-            None => CellIndex::Bands(BandIndex::build(cells)),
+        let live = live_cells(cells);
+        if let Some(lattice) = LatticeIndex::from_live(&live) {
+            return CellIndex::Lattice(lattice);
         }
+        if let Some(blocks) = BlockIndex::from_live(&live) {
+            return CellIndex::Blocks(blocks);
+        }
+        CellIndex::Bands(BandIndex::build(cells))
     }
 
     /// Estimated count inside `query` under the uniformity assumption;
@@ -86,6 +106,7 @@ impl CellIndex {
     pub fn answer(&self, query: &Rect) -> f64 {
         match self {
             CellIndex::Lattice(l) => l.answer(query),
+            CellIndex::Blocks(b) => b.answer(query),
             CellIndex::Bands(b) => b.answer(query),
         }
     }
@@ -94,6 +115,7 @@ impl CellIndex {
     pub fn total(&self) -> f64 {
         match self {
             CellIndex::Lattice(l) => l.total(),
+            CellIndex::Blocks(b) => b.total(),
             CellIndex::Bands(b) => b.total(),
         }
     }
@@ -102,29 +124,59 @@ impl CellIndex {
     ///
     /// This is the quantity serving-side memory budgets account for: it
     /// is dominated by the heap arrays (edge coordinates and prefix
-    /// sums for the lattice path, bands and tree aggregates for the
-    /// band path), so the enum discriminant padding is ignored.
+    /// sums for the lattice and block paths, bands and tree aggregates
+    /// for the band path), so the enum discriminant padding is ignored.
+    /// Every array is allocated (or shrunk) to its exact length, so the
+    /// figure is the heap actually held.
     pub fn memory_bytes(&self) -> usize {
         match self {
             CellIndex::Lattice(l) => l.memory_bytes(),
+            CellIndex::Blocks(b) => b.memory_bytes(),
             CellIndex::Bands(b) => b.memory_bytes(),
         }
     }
 }
 
-/// Sorted, deduplicated edge coordinates of one axis.
+/// The cells that can contribute to an answer: degenerate (zero-area)
+/// ones never do, and their coordinates must not shape an index.
+fn live_cells(cells: &[(Rect, f64)]) -> Vec<&(Rect, f64)> {
+    cells.iter().filter(|(r, _)| !r.is_empty()).collect()
+}
+
+/// Appends the sorted, deduplicated edge coordinates of one axis to
+/// `out` and returns how many were appended.
+fn push_edges(
+    cells: &[&(Rect, f64)],
+    lo: impl Fn(&Rect) -> f64,
+    hi: impl Fn(&Rect) -> f64,
+    out: &mut Vec<f64>,
+) -> usize {
+    let start = out.len();
+    for (rect, _) in cells {
+        out.push(lo(rect));
+        out.push(hi(rect));
+    }
+    out[start..].sort_unstable_by(f64::total_cmp);
+    let mut kept = start;
+    for i in start..out.len() {
+        if kept == start || out[i] != out[kept - 1] {
+            out[kept] = out[i];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+    kept - start
+}
+
+/// Sorted, deduplicated edge coordinates of one axis, allocated to fit.
 fn collect_edges(
     cells: &[&(Rect, f64)],
     lo: impl Fn(&Rect) -> f64,
     hi: impl Fn(&Rect) -> f64,
 ) -> Vec<f64> {
-    let mut edges: Vec<f64> = Vec::with_capacity(cells.len() * 2);
-    for (rect, _) in cells {
-        edges.push(lo(rect));
-        edges.push(hi(rect));
-    }
-    edges.sort_by(f64::total_cmp);
-    edges.dedup_by(|a, b| a == b);
+    let mut edges = Vec::with_capacity(cells.len() * 2);
+    push_edges(cells, lo, hi, &mut edges);
+    edges.shrink_to_fit();
     edges
 }
 
@@ -133,6 +185,38 @@ fn collect_edges(
 fn edge_index(edges: &[f64], x: f64) -> Option<usize> {
     let i = edges.partition_point(|&e| e < x);
     (i < edges.len() && edges[i] == x).then_some(i)
+}
+
+/// Scatters `cells` onto the lattice `xs × ys` and turns `prefix` (zeroed,
+/// `xs.len() · ys.len()` long) into its row-major prefix sums: entry
+/// `(c, r)` holds the sum of all slots with column `< c` and row `< r`.
+/// Cells spanning several slots are split with their value distributed
+/// by area share. `None` when a cell edge is not a lattice line — the
+/// partition is not rectilinear after all.
+fn fill_prefix_sums(
+    cells: &[&(Rect, f64)],
+    xs: &[f64],
+    ys: &[f64],
+    prefix: &mut [f64],
+) -> Option<()> {
+    let stride = xs.len();
+    for (rect, v) in cells {
+        let ix0 = edge_index(xs, rect.x0())?;
+        let ix1 = edge_index(xs, rect.x1())?;
+        let iy0 = edge_index(ys, rect.y0())?;
+        let iy1 = edge_index(ys, rect.y1())?;
+        debug_assert!(ix0 < ix1 && iy0 < iy1);
+        let area = rect.area();
+        for iy in iy0..iy1 {
+            let h = ys[iy + 1] - ys[iy];
+            for ix in ix0..ix1 {
+                let w = xs[ix + 1] - xs[ix];
+                prefix[(iy + 1) * stride + ix + 1] += v * (w * h / area);
+            }
+        }
+    }
+    prefix_sums_in_place(prefix, stride);
+    Some(())
 }
 
 /// Per-axis decomposition of the continuous interval `[q0, q1]` against
@@ -177,9 +261,31 @@ fn axis_segments(edges: &[f64], q0: f64, q1: f64) -> [Option<(usize, usize, f64)
     out
 }
 
+/// The lattice answer over flat slices: `xs` and `ys` are the ascending
+/// edges, `prefix` the `xs.len() · ys.len()` prefix sums
+/// [`fill_prefix_sums`] built. Shared by [`LatticeIndex`] and every
+/// block of a [`BlockIndex`].
+fn lattice_answer(xs: &[f64], ys: &[f64], prefix: &[f64], query: &Rect) -> f64 {
+    let xsegs = axis_segments(xs, query.x0(), query.x1());
+    let ysegs = axis_segments(ys, query.y0(), query.y1());
+    let stride = xs.len();
+    let mut sum = 0.0;
+    for &(r0, r1, wy) in ysegs.iter().flatten() {
+        if wy <= 0.0 {
+            continue;
+        }
+        for &(c0, c1, wx) in xsegs.iter().flatten() {
+            let w = wx * wy;
+            if w > 0.0 {
+                sum += w * block_sum(prefix, stride, c0, r0, c1, r1);
+            }
+        }
+    }
+    sum
+}
+
 /// The regular-lattice fast path: cells scattered onto the rectilinear
-/// lattice induced by their own edges, summed through a
-/// [`crate::SummedAreaTable`].
+/// lattice induced by their own edges, summed into prefix sums.
 ///
 /// Lattice slots need not be equi-width — only *shared*: every cell
 /// edge must coincide (bitwise) with a lattice line. Cells spanning
@@ -192,8 +298,9 @@ pub struct LatticeIndex {
     xs: Vec<f64>,
     /// `rows + 1` ascending y edge coordinates.
     ys: Vec<f64>,
-    /// Prefix sums over the scattered `cols × rows` value matrix.
-    sat: crate::SummedAreaTable,
+    /// `(cols + 1) · (rows + 1)` row-major prefix sums over the
+    /// scattered `cols × rows` value matrix.
+    prefix: Vec<f64>,
 }
 
 impl LatticeIndex {
@@ -201,45 +308,27 @@ impl LatticeIndex {
     /// align to their induced lattice or the lattice would be more than
     /// `LATTICE_BLOWUP_CAP` (8) times larger than the cell list.
     pub fn try_build(cells: &[(Rect, f64)]) -> Option<LatticeIndex> {
-        let live: Vec<&(Rect, f64)> = cells.iter().filter(|(r, _)| !r.is_empty()).collect();
+        LatticeIndex::from_live(&live_cells(cells))
+    }
+
+    fn from_live(live: &[&(Rect, f64)]) -> Option<LatticeIndex> {
         if live.is_empty() {
             return None;
         }
         // Edges come from the live cells only: a degenerate cell off the
         // lattice must not inflate the slot grid or stretch its bounds.
-        let xs = collect_edges(&live, |r| r.x0(), |r| r.x1());
-        let ys = collect_edges(&live, |r| r.y0(), |r| r.y1());
+        let xs = collect_edges(live, |r| r.x0(), |r| r.x1());
+        let ys = collect_edges(live, |r| r.y0(), |r| r.y1());
         if xs.len() < 2 || ys.len() < 2 {
             return None;
         }
-        let (cols, rows) = (xs.len() - 1, ys.len() - 1);
-        let slots = cols.checked_mul(rows)?;
+        let slots = (xs.len() - 1).checked_mul(ys.len() - 1)?;
         if slots > MAX_GRID_CELLS || slots > live.len().saturating_mul(LATTICE_BLOWUP_CAP) {
             return None;
         }
-
-        // Scatter each cell onto its slot block, splitting the value by
-        // area share. A cell edge that is not a lattice line means the
-        // partition is not rectilinear after all -> give up.
-        let domain = Domain::from_corners(xs[0], ys[0], xs[cols], ys[rows]).ok()?;
-        let mut grid = crate::DenseGrid::zeros(domain, cols, rows).ok()?;
-        for (rect, v) in live {
-            let ix0 = edge_index(&xs, rect.x0())?;
-            let ix1 = edge_index(&xs, rect.x1())?;
-            let iy0 = edge_index(&ys, rect.y0())?;
-            let iy1 = edge_index(&ys, rect.y1())?;
-            debug_assert!(ix0 < ix1 && iy0 < iy1);
-            let area = rect.area();
-            for iy in iy0..iy1 {
-                let h = ys[iy + 1] - ys[iy];
-                for ix in ix0..ix1 {
-                    let w = xs[ix + 1] - xs[ix];
-                    grid.add(ix, iy, v * (w * h / area));
-                }
-            }
-        }
-        let sat = grid.sat();
-        Some(LatticeIndex { xs, ys, sat })
+        let mut prefix = vec![0.0; xs.len() * ys.len()];
+        fill_prefix_sums(live, &xs, &ys, &mut prefix)?;
+        Some(LatticeIndex { xs, ys, prefix })
     }
 
     /// Lattice shape as `(cols, rows)`.
@@ -249,17 +338,232 @@ impl LatticeIndex {
 
     /// Answers a query in O(log cols + log rows).
     pub fn answer(&self, query: &Rect) -> f64 {
-        let xsegs = axis_segments(&self.xs, query.x0(), query.x1());
-        let ysegs = axis_segments(&self.ys, query.y0(), query.y1());
-        let mut sum = 0.0;
-        for &(r0, r1, wy) in ysegs.iter().flatten() {
-            if wy <= 0.0 {
+        lattice_answer(&self.xs, &self.ys, &self.prefix, query)
+    }
+
+    /// Sum of all values.
+    pub fn total(&self) -> f64 {
+        *self.prefix.last().expect("a lattice has at least one slot")
+    }
+
+    /// Estimated resident size in bytes: the struct, both edge arrays
+    /// and the prefix sums.
+    pub fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + (self.xs.len() + self.ys.len() + self.prefix.len()) * std::mem::size_of::<f64>()
+    }
+}
+
+/// Coarse lines of one axis: the coordinates no cell crosses, ascending,
+/// from the lowest cell edge to the highest.
+///
+/// A sweep over the cells' intervals sorted by start: a new coarse slot
+/// begins where an interval starts at or after the furthest end seen so
+/// far, within [`BAND_Y_SNAP_REL`] — a block's last sub-edge
+/// `x0 + (x1 − x0)·m/m` can land an ULP past the parent edge the next
+/// block starts at.
+fn coarse_lines(cells: &[&(Rect, f64)], extent: impl Fn(&Rect) -> (f64, f64)) -> Vec<f64> {
+    let mut spans: Vec<(f64, f64)> = cells.iter().map(|(r, _)| extent(r)).collect();
+    spans.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut lines = vec![spans[0].0];
+    let mut reach = spans[0].1;
+    for &(lo, hi) in &spans[1..] {
+        let start = lines[lines.len() - 1];
+        let tol = start.abs().max(reach.abs()).max(lo.abs()) * BAND_Y_SNAP_REL;
+        if lo >= reach - tol {
+            lines.push(lo);
+        }
+        reach = reach.max(hi);
+    }
+    lines.push(reach);
+    lines.shrink_to_fit();
+    lines
+}
+
+/// The coarse slots `[a, b)` the interval `[q0, q1]` touches, split
+/// around the fully covered run `[fa, fb)`: the partial slots are
+/// `[a, fa)` and `[fb, b)`, at most one each. `None` on a miss.
+fn coarse_span(lines: &[f64], q0: f64, q1: f64) -> Option<(usize, usize, usize, usize)> {
+    let n = lines.len() - 1;
+    let a = lines[1..].partition_point(|&e| e <= q0);
+    let b = lines[..n].partition_point(|&e| e < q1);
+    if a >= b {
+        return None;
+    }
+    let fa = if lines[a] >= q0 { a } else { a + 1 };
+    let fb = if lines[b] <= q1 { b } else { b - 1 }.max(fa);
+    Some((a, fa, fb, b))
+}
+
+/// Where one block of a [`BlockIndex`] lives in the shared arena: from
+/// `offset`, `cols + 1` x edges, `rows + 1` y edges and
+/// `(cols + 1) · (rows + 1)` prefix sums. An empty block has
+/// `cols == rows == 0` and no arena entries.
+#[derive(Debug, Clone, Copy)]
+struct BlockHeader {
+    offset: usize,
+    cols: u32,
+    rows: u32,
+}
+
+/// The two-level path: a coarse grid of blocks, each block a lattice of
+/// its own.
+///
+/// The coarse lines are the coordinates no cell crosses (found
+/// generically, not from any hint about the producing method), and each
+/// cell belongs to the block holding its centre. A query sums the
+/// blocks it covers fully through one lookup in the prefix sums of the
+/// block totals, and answers each block on its rim — at most two per
+/// covered row or column, plus the partially covered rows and columns —
+/// through that block's lattice. Every block's edges and prefix sums
+/// sit back to back in one arena, so the index is a handful of
+/// allocations whatever the block count.
+#[derive(Debug, Clone)]
+pub struct BlockIndex {
+    /// `cols + 1` ascending coarse x lines.
+    cx: Vec<f64>,
+    /// `rows + 1` ascending coarse y lines.
+    cy: Vec<f64>,
+    /// `(cols + 1) · (rows + 1)` row-major prefix sums of the block
+    /// totals.
+    coarse: Vec<f64>,
+    /// One header per block, row-major over the coarse grid.
+    blocks: Vec<BlockHeader>,
+    /// Every block's edges and prefix sums.
+    arena: Vec<f64>,
+}
+
+impl BlockIndex {
+    /// Attempts the block compilation; `None` when the coarse grid is
+    /// smaller than 2×2, has more than `LATTICE_BLOWUP_CAP` (8) blocks
+    /// per cell, or some block's cells do not form an affordable
+    /// lattice.
+    pub fn try_build(cells: &[(Rect, f64)]) -> Option<BlockIndex> {
+        BlockIndex::from_live(&live_cells(cells))
+    }
+
+    fn from_live(live: &[&(Rect, f64)]) -> Option<BlockIndex> {
+        if live.is_empty() {
+            return None;
+        }
+        let cx = coarse_lines(live, |r| (r.x0(), r.x1()));
+        let cy = coarse_lines(live, |r| (r.y0(), r.y1()));
+        let (cols, rows) = (cx.len() - 1, cy.len() - 1);
+        if cols < 2 || rows < 2 {
+            return None;
+        }
+        let count = cols.checked_mul(rows)?;
+        if count > live.len().saturating_mul(LATTICE_BLOWUP_CAP) {
+            return None;
+        }
+
+        // Bucket the cells by block (a counting sort on the centre's
+        // coarse slot).
+        let slot = |lines: &[f64], v: f64| lines[1..lines.len() - 1].partition_point(|&e| e <= v);
+        let keys: Vec<usize> = live
+            .iter()
+            .map(|(r, _)| {
+                let c = r.center();
+                slot(&cy, c.y) * cols + slot(&cx, c.x)
+            })
+            .collect();
+        let mut starts = vec![0usize; count + 1];
+        for &k in &keys {
+            starts[k + 1] += 1;
+        }
+        for i in 0..count {
+            starts[i + 1] += starts[i];
+        }
+        let mut fill = starts.clone();
+        let mut order = vec![live[0]; live.len()];
+        for (&cell, &k) in live.iter().zip(&keys) {
+            order[fill[k]] = cell;
+            fill[k] += 1;
+        }
+
+        let mut arena = Vec::new();
+        let mut blocks = Vec::with_capacity(count);
+        let mut coarse = vec![0.0; (cols + 1) * (rows + 1)];
+        for (b, bounds) in starts.windows(2).enumerate() {
+            let members = &order[bounds[0]..bounds[1]];
+            let offset = arena.len();
+            if members.is_empty() {
+                blocks.push(BlockHeader {
+                    offset,
+                    cols: 0,
+                    rows: 0,
+                });
                 continue;
             }
-            for &(c0, c1, wx) in xsegs.iter().flatten() {
-                let w = wx * wy;
-                if w > 0.0 {
-                    sum += w * self.sat.sum(c0, r0, c1, r1);
+            let nx = push_edges(members, |r| r.x0(), |r| r.x1(), &mut arena);
+            let ny = push_edges(members, |r| r.y0(), |r| r.y1(), &mut arena);
+            if (nx - 1) * (ny - 1) > members.len() * LATTICE_BLOWUP_CAP {
+                return None;
+            }
+            let base = arena.len();
+            arena.resize(base + nx * ny, 0.0);
+            let (edges, prefix) = arena.split_at_mut(base);
+            let (xs, ys) = edges[offset..].split_at(nx);
+            fill_prefix_sums(members, xs, ys, prefix)?;
+            coarse[(b / cols + 1) * (cols + 1) + b % cols + 1] = prefix[prefix.len() - 1];
+            blocks.push(BlockHeader {
+                offset,
+                cols: u32::try_from(nx - 1).ok()?,
+                rows: u32::try_from(ny - 1).ok()?,
+            });
+        }
+        arena.shrink_to_fit();
+        prefix_sums_in_place(&mut coarse, cols + 1);
+        Some(BlockIndex {
+            cx,
+            cy,
+            coarse,
+            blocks,
+            arena,
+        })
+    }
+
+    /// Coarse grid shape as `(cols, rows)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.cx.len() - 1, self.cy.len() - 1)
+    }
+
+    /// Answer of one block's lattice.
+    fn block_answer(&self, block: usize, query: &Rect) -> f64 {
+        let BlockHeader { offset, cols, rows } = self.blocks[block];
+        if cols == 0 {
+            return 0.0;
+        }
+        let (nx, ny) = (cols as usize + 1, rows as usize + 1);
+        let data = &self.arena[offset..offset + nx + ny + nx * ny];
+        let (xs, rest) = data.split_at(nx);
+        let (ys, prefix) = rest.split_at(ny);
+        lattice_answer(xs, ys, prefix, query)
+    }
+
+    /// Answers a query with one coarse prefix-sum lookup plus one block
+    /// lattice answer per rim block.
+    pub fn answer(&self, query: &Rect) -> f64 {
+        let Some((c0, fc0, fc1, c1)) = coarse_span(&self.cx, query.x0(), query.x1()) else {
+            return 0.0;
+        };
+        let Some((r0, fr0, fr1, r1)) = coarse_span(&self.cy, query.y0(), query.y1()) else {
+            return 0.0;
+        };
+        let cols = self.cx.len() - 1;
+        let mut sum = if fc0 < fc1 && fr0 < fr1 {
+            block_sum(&self.coarse, cols + 1, fc0, fr0, fc1, fr1)
+        } else {
+            0.0
+        };
+        for r in r0..r1 {
+            if (fr0..fr1).contains(&r) {
+                for c in (c0..fc0).chain(fc1..c1) {
+                    sum += self.block_answer(r * cols + c, query);
+                }
+            } else {
+                for c in c0..c1 {
+                    sum += self.block_answer(r * cols + c, query);
                 }
             }
         }
@@ -268,17 +572,16 @@ impl LatticeIndex {
 
     /// Sum of all values.
     pub fn total(&self) -> f64 {
-        self.sat.total()
+        self.coarse[self.coarse.len() - 1]
     }
 
-    /// Estimated resident size in bytes: the struct, both edge arrays
-    /// and the summed-area table.
+    /// Estimated resident size in bytes: the struct, the coarse lines
+    /// and prefix sums, the block headers and the arena.
     pub fn memory_bytes(&self) -> usize {
-        // `size_of::<Self>()` already counts the inline SAT header, so
-        // only the SAT's heap share is added on top.
         std::mem::size_of::<Self>()
-            + (self.xs.len() + self.ys.len()) * std::mem::size_of::<f64>()
-            + (self.sat.memory_bytes() - std::mem::size_of::<crate::SummedAreaTable>())
+            + (self.cx.len() + self.cy.len() + self.coarse.len() + self.arena.len())
+                * std::mem::size_of::<f64>()
+            + self.blocks.len() * std::mem::size_of::<BlockHeader>()
     }
 }
 
@@ -479,9 +782,10 @@ impl BandIndex {
                 x0s: Vec::with_capacity(members.len()),
                 x1s: Vec::with_capacity(members.len()),
                 values: Vec::with_capacity(members.len()),
-                prefix: vec![0.0],
+                prefix: Vec::with_capacity(members.len() + 1),
                 overlapping: false,
             };
+            band.prefix.push(0.0);
             for (rect, v) in members {
                 if let Some(&prev_x1) = band.x1s.last() {
                     if rect.x0() < prev_x1 {
@@ -670,6 +974,53 @@ mod tests {
             }
         }
         cells
+    }
+
+    /// A two-level partition whose second-level sizes `k(col, row)` vary
+    /// too much for one affordable common lattice: an `m1 × m1` top grid
+    /// over `domain`, each top cell subdivided into its own `k × k` grid.
+    fn two_level_cells(
+        domain: Rect,
+        m1: usize,
+        k: impl Fn(usize, usize) -> usize,
+    ) -> Vec<(Rect, f64)> {
+        let mut cells = Vec::new();
+        for row in 0..m1 {
+            for col in 0..m1 {
+                let parent = domain.grid_cell(m1, m1, col, row);
+                let k = k(col, row);
+                for sr in 0..k {
+                    for sc in 0..k {
+                        let v = ((sc * 7 + sr * 3 + col + row) % 11) as f64 - 3.0;
+                        cells.push((parent.grid_cell(k, k, sc, sr), v));
+                    }
+                }
+            }
+        }
+        cells
+    }
+
+    /// Second-level sizes for up to 5×5 top grids: distinct primes
+    /// along every row and column, so no inner line is shared by a
+    /// whole row or column of blocks (which would split it into finer
+    /// coarse slots).
+    fn prime_k(col: usize, row: usize) -> usize {
+        [2, 3, 5, 7, 11][(col + 2 * row) % 5]
+    }
+
+    /// Random queries over (and a little beyond) `domain`.
+    fn random_queries(domain: &Rect, n: usize, seed: u64) -> Vec<Rect> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (w, h) = (domain.width(), domain.height());
+        (0..n)
+            .map(|_| {
+                let x = domain.x0() + rng.random_range(-0.1..1.0) * w;
+                let y = domain.y0() + rng.random_range(-0.1..1.0) * h;
+                let qw = rng.random_range(0.0..0.8) * w;
+                let qh = rng.random_range(0.0..0.8) * h;
+                Rect::new(x, y, x + qw, y + qh).unwrap()
+            })
+            .collect()
     }
 
     fn query_mix(domain: &Rect) -> Vec<Rect> {
@@ -1019,6 +1370,153 @@ mod tests {
                 Rect::new(x0, y0 + 1.0, x1, y1 - 1.0).unwrap(),
             ]);
             assert_matches_scan(&cells, &wrapped, &queries);
+        }
+    }
+
+    #[test]
+    fn two_level_partition_compiles_to_blocks() {
+        let domain = Rect::new(-2.0, 1.0, 6.0, 9.0).unwrap();
+        let cells = two_level_cells(domain, 5, prime_k);
+        assert!(LatticeIndex::try_build(&cells).is_none());
+        let index = CellIndex::build(&cells);
+        match &index {
+            CellIndex::Blocks(b) => assert_eq!(b.shape(), (5, 5)),
+            other => panic!("expected the block path, got {other:?}"),
+        }
+        let mut queries = query_mix(&domain);
+        queries.extend(random_queries(&domain, 400, 23));
+        // Block-aligned edges: fully covered blocks come from the
+        // coarse prefix sums alone.
+        let (a, b) = (domain.grid_cell(5, 5, 1, 1), domain.grid_cell(5, 5, 3, 4));
+        queries.push(Rect::new(a.x0(), a.y0(), b.x1(), b.y1()).unwrap());
+        queries.push(a);
+        assert_matches_scan(&cells, &index, &queries);
+        assert!((index.total() - linear_scan(&cells, &domain)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ulp_drifted_block_borders_still_compile_to_blocks() {
+        // A block's last sub-edge `x0 + (x1 − x0)·k/k` may land an ULP
+        // on either side of the parent edge the next block starts at.
+        // Past it, the blocks overlap by an ULP and only the snap
+        // tolerance finds the coarse line; short of it, they leave an
+        // ULP gap. Both must yield the same 4×4 coarse grid.
+        let domain = Rect::new(0.1, 0.3, 7.7, 5.9).unwrap();
+        for step in [1i64, -1] {
+            let nudge = |v: f64| f64::from_bits((v.to_bits() as i64 + step) as u64);
+            let mut cells = two_level_cells(domain, 4, prime_k);
+            for (rect, _) in &mut cells {
+                let x1 = if rect.x1() < domain.x1() {
+                    nudge(rect.x1())
+                } else {
+                    rect.x1()
+                };
+                let y1 = if rect.y1() < domain.y1() {
+                    nudge(rect.y1())
+                } else {
+                    rect.y1()
+                };
+                // Only the sub-cells on a block's far border drift.
+                let on_x_border = (0..4).any(|c| rect.x1() == domain.grid_cell(4, 4, c, 0).x1());
+                let on_y_border = (0..4).any(|r| rect.y1() == domain.grid_cell(4, 4, 0, r).y1());
+                *rect = Rect::new(
+                    rect.x0(),
+                    rect.y0(),
+                    if on_x_border { x1 } else { rect.x1() },
+                    if on_y_border { y1 } else { rect.y1() },
+                )
+                .unwrap();
+            }
+            let index = BlockIndex::try_build(&cells).expect("drifted borders must compile");
+            assert_eq!(index.shape(), (4, 4), "step {step}");
+            let wrapped = CellIndex::Blocks(index);
+            let mut queries = query_mix(&domain);
+            queries.extend(random_queries(&domain, 300, 29));
+            assert_matches_scan(&cells, &wrapped, &queries);
+        }
+    }
+
+    #[test]
+    fn empty_blocks_answer_zero() {
+        // A hole in the partition: the centre block of a 3×3 coarse grid
+        // holds no cells, so it is empty but still a block.
+        let domain = Rect::new(0.0, 0.0, 9.0, 9.0).unwrap();
+        let mut cells = two_level_cells(domain, 3, prime_k);
+        let hole = domain.grid_cell(3, 3, 1, 1);
+        cells.retain(|(r, _)| !hole.contains_rect(r));
+        let index = BlockIndex::try_build(&cells).expect("a hole keeps the coarse lines");
+        assert_eq!(index.shape(), (3, 3));
+        let wrapped = CellIndex::Blocks(index);
+        assert_eq!(wrapped.answer(&hole), 0.0);
+        let mut queries = query_mix(&domain);
+        queries.extend(random_queries(&domain, 300, 31));
+        assert_matches_scan(&cells, &wrapped, &queries);
+    }
+
+    #[test]
+    fn a_block_that_is_no_lattice_falls_to_bands() {
+        // 2×2 coarse grid; the lower-left block is a staircase whose
+        // induced lattice blows past the cap, so the block path declines
+        // as a whole.
+        let n = 64;
+        let mut cells = staircase_cells(n);
+        let h = n as f64;
+        cells.push((Rect::new(10.0, 0.0, 20.0, h).unwrap(), 3.0));
+        cells.push((Rect::new(0.0, h, 10.0, 2.0 * h).unwrap(), 5.0));
+        cells.push((Rect::new(10.0, h, 20.0, 2.0 * h).unwrap(), 7.0));
+        assert!(BlockIndex::try_build(&cells).is_none());
+        let index = CellIndex::build(&cells);
+        assert!(matches!(index, CellIndex::Bands(_)));
+        let domain = Rect::new(0.0, 0.0, 20.0, 2.0 * h).unwrap();
+        assert_matches_scan(&cells, &index, &query_mix(&domain));
+    }
+
+    #[test]
+    fn one_by_n_coarse_shapes_decline() {
+        // Vertical strips, each split at heights of its own: no y line
+        // is shared, so the coarse grid is n×1. Transposed, it is 1×n.
+        let splits = [0.0, 1.7, 2.9, 5.3, 8.0, 12.0];
+        let mut strips = Vec::new();
+        for (i, pair) in splits.windows(2).enumerate() {
+            let k = 2 + i;
+            for j in 0..k {
+                let y0 = 10.0 * j as f64 / k as f64;
+                let y1 = 10.0 * (j + 1) as f64 / k as f64;
+                strips.push((Rect::new(pair[0], y0, pair[1], y1).unwrap(), 1.0));
+            }
+        }
+        let transposed: Vec<(Rect, f64)> = strips
+            .iter()
+            .map(|(r, v)| (Rect::new(r.y0(), r.x0(), r.y1(), r.x1()).unwrap(), *v))
+            .collect();
+        assert!(BlockIndex::try_build(&strips).is_none());
+        assert!(BlockIndex::try_build(&transposed).is_none());
+        // One cell is a 1×1 coarse grid.
+        let one = [(Rect::new(0.0, 0.0, 1.0, 1.0).unwrap(), 1.0)];
+        assert!(BlockIndex::try_build(&one).is_none());
+    }
+
+    #[test]
+    fn stored_index_arrays_are_allocated_to_fit() {
+        // memory_bytes() counts lengths; the catalog's byte budget is
+        // only honest if no array holds spare capacity behind them.
+        let lattice = LatticeIndex::try_build(&uniform_cells(100, 100)).unwrap();
+        for v in [&lattice.xs, &lattice.ys, &lattice.prefix] {
+            assert_eq!(v.capacity(), v.len());
+        }
+        let domain = Rect::new(-2.0, 1.0, 6.0, 9.0).unwrap();
+        let blocks = BlockIndex::try_build(&two_level_cells(domain, 5, prime_k)).unwrap();
+        for v in [&blocks.cx, &blocks.cy, &blocks.coarse, &blocks.arena] {
+            assert_eq!(v.capacity(), v.len());
+        }
+        assert_eq!(blocks.blocks.capacity(), blocks.blocks.len());
+        let bands = BandIndex::build(&staircase_cells(100));
+        assert_eq!(bands.bands.capacity(), bands.bands.len());
+        assert_eq!(bands.nodes.capacity(), bands.nodes.len());
+        for band in &bands.bands {
+            for v in [&band.x0s, &band.x1s, &band.values, &band.prefix] {
+                assert_eq!(v.capacity(), v.len());
+            }
         }
     }
 

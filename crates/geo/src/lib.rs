@@ -62,7 +62,7 @@ mod rect;
 mod sat;
 mod synopsis;
 
-pub use cell_index::{BandIndex, BandStabStats, CellIndex, LatticeIndex};
+pub use cell_index::{BandIndex, BandStabStats, BlockIndex, CellIndex, LatticeIndex};
 pub use dataset::GeoDataset;
 pub use domain::Domain;
 pub use error::{DpError, GeoError};

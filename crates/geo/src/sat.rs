@@ -31,14 +31,10 @@ impl SummedAreaTable {
         let rows = grid.rows();
         let stride = cols + 1;
         let mut prefix = vec![0.0f64; stride * (rows + 1)];
-        for r in 0..rows {
-            let mut row_acc = 0.0;
-            for c in 0..cols {
-                row_acc += grid.get(c, r);
-                // prefix[(r+1), (c+1)] = prefix[r][c+1] + running row sum
-                prefix[(r + 1) * stride + (c + 1)] = prefix[r * stride + (c + 1)] + row_acc;
-            }
+        for (r, row) in grid.values().chunks_exact(cols).enumerate() {
+            prefix[(r + 1) * stride + 1..(r + 2) * stride].copy_from_slice(row);
         }
+        prefix_sums_in_place(&mut prefix, stride);
         SummedAreaTable { cols, rows, prefix }
     }
 
@@ -66,9 +62,7 @@ impl SummedAreaTable {
         if c0 >= c1 || r0 >= r1 {
             return 0.0;
         }
-        let stride = self.cols + 1;
-        let p = &self.prefix;
-        p[r1 * stride + c1] - p[r0 * stride + c1] - p[r1 * stride + c0] + p[r0 * stride + c0]
+        block_sum(&self.prefix, self.cols + 1, c0, r0, c1, r1)
     }
 
     /// Sum of every cell in the grid.
@@ -82,6 +76,38 @@ impl SummedAreaTable {
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.prefix.len() * std::mem::size_of::<f64>()
     }
+}
+
+/// Turns slot values stored at `(c + 1, r + 1)` of a row-major table
+/// with `stride` columns (first row and column zero) into prefix sums in
+/// place: entry `(c, r)` becomes the sum of all slots with column `< c`
+/// and row `< r`. Accumulates row by row, so every table built this way
+/// rounds the same.
+pub(crate) fn prefix_sums_in_place(table: &mut [f64], stride: usize) {
+    for r in 1..table.len() / stride {
+        let mut row_acc = 0.0;
+        for c in 1..stride {
+            row_acc += table[r * stride + c];
+            // prefix[r][c] = prefix[r-1][c] + running row sum
+            table[r * stride + c] = table[(r - 1) * stride + c] + row_acc;
+        }
+    }
+}
+
+/// Sum of the slot block `cols [c0, c1) × rows [r0, r1)` of a prefix-sum
+/// table with `stride` columns. The bounds must be in range and
+/// non-empty.
+#[inline]
+pub(crate) fn block_sum(
+    prefix: &[f64],
+    stride: usize,
+    c0: usize,
+    r0: usize,
+    c1: usize,
+    r1: usize,
+) -> f64 {
+    prefix[r1 * stride + c1] - prefix[r0 * stride + c1] - prefix[r1 * stride + c0]
+        + prefix[r0 * stride + c0]
 }
 
 #[cfg(test)]

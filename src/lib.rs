@@ -35,8 +35,10 @@
 //! guideline-resolved parameters, ε, and — for seeded experiment
 //! releases — the seed). Serving then goes through one seam:
 //! [`core::CompiledSurface`]. Any synopsis's exported cells compile —
-//! once, lazily on first answer — into either a dense lattice +
-//! summed-area table (grid-shaped partitions: O(log cells) per query)
+//! once, lazily on first answer — into a dense lattice + summed-area
+//! table (grid-shaped partitions: O(log cells) per query), a two-level
+//! block index (AG-shaped partitions: one prefix-sum lookup over the
+//! fully covered coarse blocks plus a lattice answer per rim block),
 //! or a sorted row-band / interval index (irregular partitions such as
 //! KD trees; its band segment tree doubles as a coarse y-skip-list, so
 //! wide queries absorb whole fully-covered band runs in O(log bands)

@@ -1,6 +1,7 @@
 //! Cross-method equivalence of the compiled query surface.
 //!
-//! A `Release` answers through a compiled index (lattice or row-band);
+//! A `Release` answers through a compiled index (lattice, block or
+//! row-band);
 //! those answers must match the naive linear scan over the released
 //! cells — the semantics the index replaces — to within 1e-9, for every
 //! producing method, over a mixed workload of domain-spanning, sliver,
@@ -95,6 +96,69 @@ fn adaptive_grid_equivalence() {
         let release = Release::from_synopsis("AG", &ag);
         assert_equivalent(&release, &query_mix(ds.domain().rect(), ag.m1()));
     }
+}
+
+/// A landmark-shaped dataset large enough that the guideline AG's
+/// second-level sizes vary widely from cell to cell.
+fn large_dataset(seed: u64) -> GeoDataset {
+    PaperDataset::Landmark.generate_n(seed, 100_000).unwrap()
+}
+
+#[test]
+fn guideline_adaptive_grids_compile_to_blocks() {
+    for seed in [1u64, 2, 3] {
+        let ds = large_dataset(seed);
+        let ag = AdaptiveGrid::build(&ds, &AgConfig::guideline(1.0), &mut rng(seed)).unwrap();
+        let release = Release::from_synopsis("AG", &ag);
+        // Per-cell second-level sizes leave no affordable common
+        // lattice: the release takes the two-level block path, with at
+        // least the first-level grid as its coarse grid.
+        let kind = release.surface().kind();
+        assert!(
+            matches!(kind, SurfaceKind::Blocks { cols, rows } if cols >= ag.m1() && rows >= ag.m1()),
+            "seed {seed}: {kind:?}"
+        );
+        assert_equivalent(&release, &query_mix(ds.domain().rect(), ag.m1()));
+    }
+}
+
+#[test]
+fn adaptive_grid_blocks_survive_serialization() {
+    // The block path needs the coarse lines and every block's edges to
+    // come back bit for bit from the text form.
+    for seed in [4u64, 5, 6] {
+        let ds = large_dataset(seed);
+        let ag = AdaptiveGrid::build(&ds, &AgConfig::guideline(1.0), &mut rng(seed)).unwrap();
+        let release = Release::from_synopsis("AG", &ag);
+        let mut buf = Vec::new();
+        release.write_json(&mut buf).unwrap();
+        let reloaded = Release::read_json(&buf[..]).unwrap();
+        assert_eq!(reloaded.surface().kind(), release.surface().kind());
+        assert!(matches!(
+            reloaded.surface().kind(),
+            SurfaceKind::Blocks { .. }
+        ));
+        assert_equivalent(&reloaded, &query_mix(ds.domain().rect(), ag.m1()));
+    }
+}
+
+#[test]
+fn adaptive_grid_with_fixed_m2_stays_on_the_lattice() {
+    // One second-level size everywhere: every block shares the same
+    // sub-lines, so the common lattice is affordable and wins.
+    let ds = dataset(7);
+    let ag = AdaptiveGrid::build(
+        &ds,
+        &AgConfig::guideline(0.5).with_m1(8).with_fixed_m2(3),
+        &mut rng(7),
+    )
+    .unwrap();
+    let release = Release::from_synopsis("AG", &ag);
+    assert!(matches!(
+        release.surface().kind(),
+        SurfaceKind::Lattice { cols: 24, rows: 24 }
+    ));
+    assert_equivalent(&release, &query_mix(ds.domain().rect(), 8));
 }
 
 #[test]
